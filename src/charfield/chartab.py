@@ -58,12 +58,14 @@ def class_multiplication_coefficients(group: PermGroup, classes: ClassData,
     r = classes.k
     a = np.zeros((r, r, r), dtype=np.int64)
     class_of = classes.class_of
-    inv_rows = group.inv_rows
+    # count over w = x^-1, which runs through G as x does: then x^-1 z = wz,
+    # and (wz)(b) = w(z(b)) needs only the columns z(b) of the table
+    x_class = class_of[group.inv_ids]
     for k in range(r):
         z_id = classes.reps[k] if z_choice is None else z_choice[k]
-        z_row = group.rows[z_id]
-        y_ids = group.ids_of_rows(inv_rows[:, z_row])
-        counts = np.bincount(class_of * r + class_of[y_ids], minlength=r * r)
+        z_base = group.rows[z_id, list(group.base)]
+        y_ids = group.ids_of_base_images(group.rows[:, z_base])
+        counts = np.bincount(x_class * r + class_of[y_ids], minlength=r * r)
         a[:, :, k] = counts.reshape(r, r)
     return a
 

@@ -95,13 +95,23 @@ class BoundsData:
     f_ge_omega: bool
 
 
+def k_ge_log2log2(order: int, k: int) -> bool:
+    """2^(2^k) >= order, without building 2^(2^k), which has 2^k bits.
+
+    For n >= 1 and m >= 0: 2^m >= n iff n - 1 < 2^m iff
+    (n - 1).bit_length() <= m.  Take m = 2^k.
+    """
+    return (1 << k) >= (order - 1).bit_length()
+
+
 def _bounds(order: int, k: int, f: int) -> BoundsData:
+    # 3^k and 3^f stay small: f <= k <= chartab.MAX_CLASSES
     fll = floor_log2_log2(order) if order >= 2 else 0
     return BoundsData(
         order=order,
         floor_log2_log2=fll,
         omega=prime_exponent_sum(order) if order > 1 else 0,
-        k_ge_log2log2=2 ** (2**k) >= order,
+        k_ge_log2log2=k_ge_log2log2(order, k),
         f_ge_floor_log2log2=f >= fll,
         k_gt_log3=3**k > order,
         f_gt_log3=3**f > order,

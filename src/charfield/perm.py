@@ -1,13 +1,16 @@
 """Permutation groups by full element enumeration.
 
 Groups are stored as a complete element table: one int32 row of images per
-element, plus a bytes -> id lookup.  Element ids are breadth-first from the
-identity with generators applied in the given order, so repeated
-enumeration of the same generator list reproduces identical ids, class
-numbering and downstream tables.
+element.  Element ids are breadth-first from the identity with generators
+applied in the given order, so repeated enumeration of the same generator
+list reproduces identical ids, class numbering and downstream tables.
+
+After enumeration each group takes a base (a short point list whose images
+fix an element uniquely) from its table, and finds element ids from base
+images packed into int64 keys; see PermGroup.
 
 The element cap (default 10**6) keeps accidental monsters out; the largest
-group this package targets has 29120 elements.
+built-in group, S9, has 362880 elements.
 """
 
 from __future__ import annotations
@@ -103,65 +106,155 @@ class Permutation:
         return f"Permutation({body})"
 
 
-class PermGroup:
-    """Fully enumerated permutation group; build via enumerate_group()."""
+# base-image keys stay below this bound, so packing never overflows int64
+KEY_LIMIT = 1 << 62
 
-    def __init__(self, degree: int, generators: list[Permutation], rows: np.ndarray,
-                 index: dict[bytes, int]):
+
+def sims_base(rows: np.ndarray) -> tuple[int, ...]:
+    """A base of the group whose element table is rows.
+
+    The next base point is the first point moved by the pointwise stabilizer
+    of the points chosen so far; a point skipped earlier is fixed by a larger
+    stabilizer, so the scan never revisits it.  The scan ends when the
+    stabilizer is trivial.
+    """
+    base = []
+    stab = np.arange(rows.shape[0])
+    for p in range(rows.shape[1]):
+        if len(stab) == 1:
+            break
+        fixed = rows[stab, p] == p
+        if not fixed.all():
+            base.append(p)
+            stab = stab[fixed]
+    return tuple(base)
+
+
+class PermGroup:
+    """Fully enumerated permutation group; build via enumerate_group().
+
+    Element ids are found from base images.  G's pointwise stabilizer of the
+    base is trivial, so if x, y in G agree on the base then x^-1 y fixes it
+    pointwise and x = y: restriction to the base is injective on G.  Products
+    and conjugates of elements of G lie in G, so internal callers look them up
+    from the base columns alone, using (xy)(b) = x(y(b)).  A permutation from
+    outside may agree with some element of G on the base without being in G,
+    so id_of and `in` also compare the candidate's full row.
+
+    The base images are packed, mixed radix degree, into one int64 key per
+    level: the base is cut into consecutive chunks, and before the next point
+    would push a key past KEY_LIMIT the keys so far are re-ranked to a dense
+    index below |G|.  Each level is a sorted array searched with
+    np.searchsorted; a miss means "not in G".
+    """
+
+    def __init__(self, degree: int, generators: list[Permutation], rows: np.ndarray):
         self.degree = degree
         self.generators = tuple(generators)
         self.rows = rows          # order x degree int32, row 0 = identity
-        self._index = index
         self.order = rows.shape[0]
-        self._inv_rows: np.ndarray | None = None
+        self.base = sims_base(rows)
+        self._base_cols = np.array(self.base, dtype=np.intp)
+        self._levels, self._key_ids = self._build_keys()
         self._inv_ids: np.ndarray | None = None
         self._orders: list[int] | None = None
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
+    def _pack(self, prefix, columns, lo: int, hi: int):
+        """prefix, then the images of base points lo..hi-1, mixed radix degree."""
+        for col in columns[lo:hi]:
+            prefix = prefix * self.degree + col
+        return prefix
+
+    def _build_keys(self):
+        images = self.rows[:, self._base_cols].astype(np.int64)
+        dense = np.zeros(self.order, dtype=np.int64)
+        count, lo, levels = 1, 0, []
+        while True:
+            hi, bound = lo, count
+            while hi < len(self.base) and bound * self.degree <= KEY_LIMIT:
+                bound *= self.degree
+                hi += 1
+            keys = self._pack(dense, images.T, lo, hi)
+            if hi == len(self.base):
+                ids = np.argsort(keys, kind="stable")
+                keys = keys[ids]
+                if np.any(keys[1:] == keys[:-1]):
+                    raise ArithmeticError("the base does not separate the group")
+                levels.append((lo, hi, keys))
+                return levels, ids.astype(np.int32)
+            uniq, dense = np.unique(keys, return_inverse=True)
+            levels.append((lo, hi, uniq))
+            count, lo = len(uniq), hi
+
+    def ids_of_base_images(self, images) -> np.ndarray:
+        """Ids of the elements of G with the given base images, one row each.
+
+        Only for permutations known to lie in G (see the class docstring);
+        a miss raises KeyError.
+        """
+        images = np.asarray(images, dtype=np.int64)
+        dense = np.zeros(len(images), dtype=np.int64)
+        for lo, hi, keys in self._levels:
+            key = self._pack(dense, images.T, lo, hi)
+            # searchsorted narrows each search from the previous hit when the
+            # queries ascend, so sorting them first pays for itself
+            order = np.argsort(key)
+            dense = np.empty_like(key)
+            dense[order] = np.searchsorted(keys, key[order])
+            np.minimum(dense, len(keys) - 1, out=dense)
+            if not np.array_equal(keys[dense], key):
+                raise KeyError("base images of a permutation outside the group")
+        return self._key_ids[dense]
+
+    def _lookup_one(self, images) -> int:
+        """Id from one permutation's base images; -1 if no element has them."""
+        dense = 0
+        for lo, hi, keys in self._levels:
+            key = self._pack(dense, images, lo, hi)
+            dense = int(keys.searchsorted(key))
+            if dense == len(keys) or keys[dense] != key:
+                return -1
+        return int(self._key_ids[dense])
+
     def element(self, i: int) -> Permutation:
         p = Permutation.__new__(Permutation)
         p.images = tuple(int(x) for x in self.rows[i])
         return p
 
-    def id_of_row(self, row) -> int:
-        key = np.asarray(row, dtype=np.int32).tobytes()
-        return self._index[key]
+    def _find(self, perm: Permutation) -> int:
+        if perm.degree != self.degree:
+            return -1
+        i = self._lookup_one([perm.images[b] for b in self.base])
+        return i if i >= 0 and self.element(i) == perm else -1
 
     def id_of(self, perm: Permutation) -> int:
-        return self.id_of_row(perm.images)
+        i = self._find(perm)
+        if i < 0:
+            raise KeyError(f"{perm!r} is not in the group")
+        return i
 
     def __contains__(self, perm: Permutation) -> bool:
-        key = np.asarray(perm.images, dtype=np.int32).tobytes()
-        return key in self._index
+        return self._find(perm) >= 0
 
     def mul(self, i: int, j: int) -> int:
-        return self.id_of_row(self.rows[i][self.rows[j]])
-
-    @property
-    def inv_rows(self) -> np.ndarray:
-        if self._inv_rows is None:
-            self._inv_rows = np.argsort(self.rows, axis=1).astype(np.int32)
-        return self._inv_rows
+        """Id of x*y for element ids x, y."""
+        return self._lookup_one(self.rows[i][self.rows[j, self._base_cols]].tolist())
 
     @property
     def inv_ids(self) -> np.ndarray:
         if self._inv_ids is None:
-            self._inv_ids = self.ids_of_rows(self.inv_rows)
+            images = np.empty((self.order, len(self.base)), dtype=np.int64)
+            for c, b in enumerate(self.base):
+                # x^-1(b) is the point that x sends to b
+                images[:, c] = (self.rows == b).argmax(axis=1)
+            self._inv_ids = self.ids_of_base_images(images)
         return self._inv_ids
 
     def inverse_id(self, i: int) -> int:
         return int(self.inv_ids[i])
-
-    def ids_of_rows(self, mat: np.ndarray) -> np.ndarray:
-        idx = self._index
-        mat = np.ascontiguousarray(mat, dtype=np.int32)
-        step = mat.shape[1] * 4
-        buf = mat.tobytes()
-        return np.fromiter(
-            (idx[buf[o:o + step]] for o in range(0, len(buf), step)),
-            dtype=np.int32, count=mat.shape[0])
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
@@ -177,7 +270,9 @@ def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGrou
             raise ValueError("generator degree mismatch")
     ident = np.arange(degree, dtype=np.int32)
     rows = [ident]
-    index = {ident.tobytes(): 0}
+    # the base is unknown until the closure is complete, so the search
+    # deduplicates whole rows; the set is dropped with this frame
+    seen = {ident.tobytes()}
     if gens:
         gmat = np.array([g.images for g in gens], dtype=np.int32)
         frontier = [0]
@@ -188,15 +283,15 @@ def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGrou
             nxt = []
             for row in prods:
                 key = row.tobytes()
-                if key not in index:
+                if key not in seen:
                     if len(rows) >= cap:
                         raise GroupTooLargeError(
                             f"group too large: closure exceeded the cap of {cap} elements")
-                    index[key] = len(rows)
+                    seen.add(key)
                     nxt.append(len(rows))
                     rows.append(row.copy())
             frontier = nxt
-    return PermGroup(degree, gens, np.array(rows, dtype=np.int32), index)
+    return PermGroup(degree, gens, np.array(rows, dtype=np.int32))
 
 
 @dataclass(eq=False)
@@ -236,10 +331,10 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
     n = group.order
     conj_maps = []
     for g in group.generators:
-        garr = np.array(g.images, dtype=np.int32)
+        g_base = [g.images[b] for b in group.base]
         ginv = np.array(g.inverse().images, dtype=np.int32)
-        conj_rows = ginv[group.rows[:, garr]]  # g^-1 x g for every x
-        conj_maps.append(group.ids_of_rows(conj_rows))
+        # (g^-1 x g)(b) = g^-1(x(g(b))) for every x
+        conj_maps.append(group.ids_of_base_images(ginv[group.rows[:, g_base]]))
     class_of = np.full(n, -1, dtype=np.int32)
     raw = []
     for seed in range(n):

@@ -1,5 +1,7 @@
 from collections import Counter
 
+import pytest
+
 from charfield.chartab import dixon_table
 from charfield.fov import (
     RATIONAL_FIELD,
@@ -8,6 +10,7 @@ from charfield.fov import (
     degree_bound_check,
     f_value,
     field_of_values,
+    k_ge_log2log2,
     monotonicity_check,
     rational_count,
 )
@@ -160,3 +163,10 @@ def test_field_label_cross_group():
     lab1 = {field_of_values(t1, i) for i in range(t1.k)}
     lab2 = {field_of_values(t2, i) for i in range(t2.k)}
     assert FieldLabel(5, (1, 4), 2) in lab1 & lab2
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_k_ge_log2log2_matches_literal_tower(k):
+    near_powers = {2**j + d for j in range(1, 70) for d in (-1, 0, 1)}
+    for n in sorted(set(range(1, 300)) | near_powers):
+        assert k_ge_log2log2(n, k) == (2 ** (2**k) >= n), (n, k)
