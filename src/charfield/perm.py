@@ -209,16 +209,6 @@ class PermGroup:
                 raise KeyError("base images of a permutation outside the group")
         return self._key_ids[dense]
 
-    def _lookup_one(self, images) -> int:
-        """Id from one permutation's base images; -1 if no element has them."""
-        dense = 0
-        for lo, hi, keys in self._levels:
-            key = self._pack(dense, images, lo, hi)
-            dense = int(keys.searchsorted(key))
-            if dense == len(keys) or keys[dense] != key:
-                return -1
-        return int(self._key_ids[dense])
-
     def element(self, i: int) -> Permutation:
         p = Permutation.__new__(Permutation)
         p.images = tuple(int(x) for x in self.rows[i])
@@ -227,8 +217,11 @@ class PermGroup:
     def _find(self, perm: Permutation) -> int:
         if perm.degree != self.degree:
             return -1
-        i = self._lookup_one([perm.images[b] for b in self.base])
-        return i if i >= 0 and self.element(i) == perm else -1
+        try:
+            i = int(self.ids_of_base_images([[perm.images[b] for b in self.base]])[0])
+        except KeyError:
+            return -1
+        return i if self.element(i) == perm else -1
 
     def id_of(self, perm: Permutation) -> int:
         i = self._find(perm)
@@ -241,7 +234,7 @@ class PermGroup:
 
     def mul(self, i: int, j: int) -> int:
         """Id of x*y for element ids x, y."""
-        return self._lookup_one(self.rows[i][self.rows[j, self._base_cols]].tolist())
+        return int(self.ids_of_base_images([self.rows[i][self.rows[j, self._base_cols]]])[0])
 
     @property
     def inv_ids(self) -> np.ndarray:

@@ -65,6 +65,7 @@ def test_membership_compares_whole_rows():
     # it has the base image of (0 1 2), which is in G
     assert Permutation([1, 2, 0, 3, 4]) in g
     assert outsider not in g
+    assert Permutation([3, 1, 2, 0, 4]) not in g  # no element sends 0 to 3
     with pytest.raises(KeyError):
         g.id_of(outsider)
     assert Permutation([0, 1, 2, 3]) not in g  # wrong degree
