@@ -120,3 +120,20 @@ def next_prime_in_progression(modulus: int, start: int, limit: int = 10**9) -> i
             return p
         p += modulus
     raise ValueError(f"no prime ≡ 1 mod {modulus} in ({start}, {limit}]")
+
+
+def element_of_order(e: int, p: int) -> int:
+    """theta = a^((p-1)/e) for the first a = 2, 3, ... that gives order e mod p.
+
+    theta has order e exactly when theta^(e/q) != 1 for every prime q | e.
+    A primitive root a < p gives one, so the scan ends for every prime
+    p >= 3 with e | p - 1.
+    """
+    if (p - 1) % e:
+        raise ValueError(f"{e} does not divide {p} - 1")
+    qs = prime_factors(e)
+    for a in range(2, p):
+        theta = pow(a, (p - 1) // e, p)
+        if all(pow(theta, e // q, p) != 1 for q in qs):
+            return theta
+    raise ValueError(f"no element of order {e} mod {p}")

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import modp
-from .arith import is_prime, next_prime_in_progression, prime_factors, units
+from .arith import element_of_order, is_prime, next_prime_in_progression, prime_factors, units
 from .cyclo import Cyclo, conjugate, cyclo_from_root_counts, galois
 from .perm import ClassData, PermGroup, conjugacy_classes
 
@@ -105,7 +105,12 @@ class CharacterTable:
 
 
 def _split_eigenspaces(mats: list[np.ndarray], p: int, r: int) -> list[list[int]]:
-    """Common one-dimensional eigenspaces of the commuting family, as vectors."""
+    """Common one-dimensional eigenspaces of the commuting family, as vectors.
+
+    Each space B (full column rank) is M-invariant, so MB = BA for a unique
+    A; then A = B_S^-1 (MB)_S for every row set S with B_S invertible, and
+    which independent rows pivot_rows picks does not change A.
+    """
     spaces = [np.eye(r, dtype=np.int64)]
     for M in mats:
         if all(s.shape[1] == 1 for s in spaces):
@@ -139,14 +144,6 @@ def _split_eigenspaces(mats: list[np.ndarray], p: int, r: int) -> list[list[int]
     return [s[:, 0].tolist() for s in spaces]
 
 
-def _order_e_element(p: int, e: int) -> int:
-    for a in range(2, 10000):
-        theta = pow(a, (p - 1) // e, p)
-        if all(pow(theta, e // q, p) != 1 for q in prime_factors(e)):
-            return theta
-    raise ComputationError("no element of the exponent's order found")  # pragma: no cover
-
-
 def dixon_table(group: PermGroup, classes: ClassData | None = None,
                 prime: int | None = None) -> CharacterTable:
     """The full exact character table."""
@@ -170,7 +167,10 @@ def dixon_table(group: PermGroup, classes: ClassData | None = None,
     sizes = classes.sizes
     inv_class = [classes.inverse_class(i) for i in range(r)]
     size_inv = [pow(s, -1, p) for s in sizes]
-    theta = _order_e_element(p, e)
+    try:
+        theta = element_of_order(e, p)
+    except ValueError as exc:
+        raise ComputationError(str(exc)) from None
     isqrt_n = math.isqrt(n)
 
     rows = []

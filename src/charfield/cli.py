@@ -2,15 +2,14 @@
 
     charfield table SPEC [--format json|csv|pretty] [--out FILE]
     charfield fov SPEC [--format json|csv|pretty] [--out FILE]
-    charfield verify SUITE [--jobs N] [--out FILE]
+    charfield verify SUITE [--out FILE]
     charfield omega RANGE [--format ...] [--out FILE]
     charfield subfields RANGE --d D [--format ...] [--out FILE]
 
 RANGE is "lo..hi" or a single integer.  Exit codes: 0 success,
 1 verification failure, 2 parse/range error, 3 construction error,
 4 computation failure.  Output is deterministic byte-for-byte for
-identical flags.  --seed is accepted and reserved (nothing is
-randomized in v1).
+identical flags.
 """
 
 from __future__ import annotations
@@ -113,8 +112,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="charfield",
         description="Exact character tables, fields of values and their multiplicities")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; nothing is randomized in v1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for cmd in ("table", "fov"):
@@ -126,7 +123,6 @@ def main(argv=None) -> int:
     sp = sub.add_parser("verify")
     sp.add_argument("suite",
                     choices=("theorem-a", "exclusions", "omega", "subfields", "bounds", "all"))
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
 
     sp = sub.add_parser("omega")
@@ -161,7 +157,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            suites = run_suite(args.suite, jobs=args.jobs)
+            suites = run_suite(args.suite)
             lines = []
             for s in suites:
                 lines.extend(s.lines())

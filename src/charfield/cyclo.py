@@ -28,7 +28,7 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import euler_phi, next_prime_in_progression, prime_factors, units
+from .arith import element_of_order, euler_phi, next_prime_in_progression, prime_factors, units
 
 Scalar = int | Fraction
 
@@ -143,7 +143,8 @@ class Cyclo:
             if len(dense) > n:
                 raise ValueError("coefficient vector longer than conductor")
             dense += [0] * (n - len(dense))
-            n, coeffs = _canonicalize(n, dense)
+            canon = _from_dense(n, dense)
+            n, coeffs = canon.n, canon.coeffs
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", hash((n, coeffs)))
@@ -313,19 +314,8 @@ def _coerce(x) -> "Cyclo":
     return NotImplemented
 
 
-def _canonicalize(n: int, dense: list[Scalar]) -> tuple[int, tuple[Scalar, ...]]:
-    vec = _reduce_mod_phi(n, dense)
-    while n > 1:
-        step = _descend_once(n, vec)
-        if step is None:
-            break
-        n, vec = step
-    return n, tuple(_norm_scalar(Fraction(c)) for c in vec)
-
-
 def _from_dense(n: int, dense: list[Scalar]) -> Cyclo:
-    n2, coeffs = _canonicalize(n, dense)
-    return Cyclo(n2, coeffs, _canonical=True)
+    return _from_reduced(n, _reduce_mod_phi(n, dense))
 
 
 def _from_reduced(n: int, vec: list[Scalar]) -> Cyclo:
@@ -388,12 +378,7 @@ def conjugate(c: Cyclo) -> Cyclo:
 @functools.lru_cache(maxsize=None)
 def _eval_point(n: int) -> tuple[int, tuple[int, ...]]:
     p = next_prime_in_progression(n, 2**31, limit=2**62)
-    for a in range(2, 1000):
-        theta = pow(a, (p - 1) // n, p)
-        if all(pow(theta, n // q, p) != 1 for q in prime_factors(n)):
-            break
-    else:  # pragma: no cover - never reached for n >= 2
-        raise ArithmeticError("no element of required order found")
+    theta = element_of_order(n, p)
     powers = [1] * n
     for i in range(1, n):
         powers[i] = powers[i - 1] * theta % p

@@ -13,6 +13,7 @@ import functools
 import itertools
 
 from .arith import is_prime
+from .modp import poly_mod, poly_mul
 
 
 @functools.lru_cache(maxsize=None)
@@ -25,23 +26,6 @@ def field(p: int, m: int = 1) -> "FieldSpec":
     return FieldSpec(p, m, _smallest_irreducible(p, m))
 
 
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    num = num[:]
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] * inv_lead % p
-        if c:
-            for j, a in enumerate(den):
-                num[i - dd + j] = (num[i - dd + j] - c * a) % p
-        num[i] = c  # quotient coefficient parked in place
-    quo = num[dd:]
-    rem = num[:dd]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
-
-
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     # trial division by every monic polynomial of degree <= m // 2
     m = len(coeffs) - 1
@@ -49,9 +33,7 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         return False
     for d in range(1, m // 2 + 1):
         for lower in itertools.product(range(p), repeat=d):
-            den = list(lower) + [1]
-            _, rem = _poly_divmod(list(coeffs), den, p)
-            if not rem:
+            if not poly_mod(coeffs, list(lower) + [1], p):
                 return False
     return True
 
@@ -84,7 +66,7 @@ class FieldSpec:
     def elem(self, coeffs) -> "FieldElem":
         cs = [c % self.p for c in coeffs]
         if len(cs) > self.m:
-            _, cs = _poly_divmod(cs, list(self.modulus), self.p)
+            cs = poly_mod(cs, self.modulus, self.p)
         cs += [0] * (self.m - len(cs))
         return FieldElem(self, tuple(cs))
 
@@ -159,13 +141,7 @@ class FieldElem:
     def __mul__(self, other):
         self._check(other)
         p, m = self.spec.p, self.spec.m
-        prod = [0] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] = (prod[i + j] + a * b) % p
-        _, rem = _poly_divmod(prod, list(self.spec.modulus), p)
+        rem = poly_mod(poly_mul(self.coeffs, other.coeffs, p), self.spec.modulus, p)
         rem += [0] * (m - len(rem))
         return FieldElem(self.spec, tuple(rem))
 

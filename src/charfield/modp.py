@@ -24,23 +24,6 @@ def mat_mul(A, B, p):
     return out
 
 
-def mat_inv(A, p):
-    n = len(A)
-    M = [row[:] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] % p), None)
-        if piv is None:
-            raise ValueError("matrix is singular mod p")
-        M[col], M[piv] = M[piv], M[col]
-        inv = pow(M[col][col], -1, p)
-        M[col] = [x * inv % p for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [(x - f * y) % p for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
 def rref(A, p):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     M = [row[:] for row in A]
@@ -84,27 +67,23 @@ def nullspace(A, p):
     return basis
 
 
+def mat_inv(A, p):
+    """Inverse mod p, read off the right half of rref([A | I])."""
+    n = len(A)
+    R, pivots = rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(A)], p)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular mod p")
+    return [row[n:] for row in R]
+
+
 def pivot_rows(B, p):
-    """Indices of linearly independent rows spanning the row space of B."""
-    cols = len(B[0])
-    work = [row[:] for row in B]
-    chosen = []
-    used = [False] * len(B)
-    for c in range(cols):
-        piv = next((r for r in range(len(B)) if not used[r] and work[r][c] % p), None)
-        if piv is None:
-            continue
-        used[piv] = True
-        chosen.append(piv)
-        inv = pow(work[piv][c], -1, p)
-        work[piv] = [x * inv % p for x in work[piv]]
-        for r in range(len(B)):
-            if not used[r] and work[r][c]:
-                f = work[r][c]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[piv])]
-        if len(chosen) == cols:
-            break
-    return chosen
+    """Indices of linearly independent rows spanning the row space of B.
+
+    These are the pivot columns of rref(B^T): the first rows, in order, that
+    are independent of the rows before them.
+    """
+    _, pivots = rref([list(col) for col in zip(*B)], p)
+    return pivots
 
 
 def charpoly(A, p):
@@ -166,16 +145,23 @@ def poly_mul(f, g, p):
     return poly_trim(out)
 
 
-def poly_mod(f, g, p):
+def poly_divmod(f, g, p):
+    """(q, r) with f = q*g + r and deg r < deg g; g's leading coefficient is a unit."""
     f = [x % p for x in f]
     dg = len(g) - 1
     inv = pow(g[-1], -1, p)
+    q = [0] * max(len(f) - dg, 0)
     for i in range(len(f) - 1, dg - 1, -1):
         c = f[i] * inv % p
         if c:
+            q[i - dg] = c
             for j in range(dg + 1):
                 f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
-    return poly_trim(f[:dg])
+    return poly_trim(q), poly_trim(f[:dg])
+
+
+def poly_mod(f, g, p):
+    return poly_divmod(f, g, p)[1]
 
 
 def poly_gcd(f, g, p):
@@ -252,16 +238,7 @@ def _pad(f, g):
 
 
 def _poly_div_exact(f, g, p):
-    f = [x % p for x in f]
-    dg = len(g) - 1
-    inv = pow(g[-1], -1, p)
-    out = [0] * (len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] * inv % p
-        out[i - dg] = c
-        if c:
-            for j in range(dg + 1):
-                f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
-    if poly_trim(f):
+    q, r = poly_divmod(f, g, p)
+    if r:
         raise ArithmeticError("division was not exact")
-    return poly_trim(out)
+    return q

@@ -17,7 +17,6 @@ deviates from a fixture fails the run.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -149,18 +148,8 @@ def _check_case(case: VerificationCase) -> CaseResult:
                       f"{f_text} k={rep.k} rational={rep.rational} order={rep.order}")
 
 
-def _run_cases(cases, jobs: int) -> list[CaseResult]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_case, cases))
-    else:
-        results = [_check_case(c) for c in cases]
-    return results
-
-
-def suite_theorem_a(jobs: int = 1) -> SuiteResult:
-    cases = THEOREM_A_F2 + THEOREM_A_F3
-    results = _run_cases(cases, jobs)
+def suite_theorem_a() -> SuiteResult:
+    results = [_check_case(c) for c in THEOREM_A_F2 + THEOREM_A_F3]
     b2 = max(report_for(c.spec).order for c in THEOREM_A_F2)
     b3 = max(report_for(c.spec).order for c in THEOREM_A_F3)
     results.append(CaseResult("b(2)", "PASS" if b2 == EXPECTED_B2 else "FAIL",
@@ -170,11 +159,11 @@ def suite_theorem_a(jobs: int = 1) -> SuiteResult:
     return SuiteResult("theorem-a", results, [])
 
 
-def suite_exclusions(jobs: int = 1) -> SuiteResult:
-    return SuiteResult("exclusions", _run_cases(EXCLUSIONS, jobs), [])
+def suite_exclusions() -> SuiteResult:
+    return SuiteResult("exclusions", [_check_case(c) for c in EXCLUSIONS], [])
 
 
-def suite_omega(jobs: int = 1, r_max: int = 200) -> SuiteResult:
+def suite_omega(r_max: int = 200) -> SuiteResult:
     results = []
     degrees = {}
     mismatch = []
@@ -225,7 +214,7 @@ def _explicit_subgroup_count(n: int, d: int) -> int:
     return len(subs)
 
 
-def suite_subfields(jobs: int = 1, n_max: int = 500) -> SuiteResult:
+def suite_subfields(n_max: int = 500) -> SuiteResult:
     results = []
     for d in (2, 3):
         bad = [n for n in range(3, n_max + 1)
@@ -243,7 +232,7 @@ def suite_subfields(jobs: int = 1, n_max: int = 500) -> SuiteResult:
     return SuiteResult("subfields", results, [])
 
 
-def suite_bounds(jobs: int = 1) -> SuiteResult:
+def suite_bounds() -> SuiteResult:
     cases = THEOREM_A_F2 + THEOREM_A_F3
     results = []
     for case in cases:
@@ -277,10 +266,10 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, jobs: int = 1) -> list[SuiteResult]:
+def run_suite(name: str) -> list[SuiteResult]:
     if name == "all":
-        return [fn(jobs) for fn in _SUITES.values()]
+        return [fn() for fn in _SUITES.values()]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join([*_SUITES, 'all'])}")
-    return [_SUITES[name](jobs)]
+    return [_SUITES[name]()]

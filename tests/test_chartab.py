@@ -74,6 +74,71 @@ def test_nullspace():
         assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
 
 
+def _span(rows, p, cols):
+    """Every vector in the GF(p)-span of rows, by brute-force closure."""
+    span = {(0,) * cols}
+    for row in rows:
+        span = {tuple((x + c * y) % p for x, y in zip(v, row)) for v in span for c in range(p)}
+    return span
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 10007])
+def test_poly_divmod_identity(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        f = [rng.randrange(p) for _ in range(rng.randint(0, 12))]
+        g = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [rng.randrange(1, p)]
+        q, r = modp.poly_divmod(f, g, p)
+        back = [(a + b) % p for a, b in modp._pad(modp.poly_mul(q, g, p), r)]
+        assert modp.poly_trim(back) == modp.poly_trim([x % p for x in f])
+        assert len(r) < len(g) and (not r or r[-1]) and (not q or q[-1])
+
+
+def test_exact_division_rejects_a_remainder():
+    p = 101
+    g = [3, 1]
+    f = modp.poly_mul(g, [5, 7, 1], p)
+    assert modp._poly_div_exact(f, g, p) == [5, 7, 1]
+    with pytest.raises(ArithmeticError):
+        modp._poly_div_exact([(f[0] + 1) % p] + f[1:], g, p)
+
+
+def test_mat_inv_against_product():
+    rng = random.Random(5)
+    p = 5
+    singular_seen = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        A = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        try:
+            inv = modp.mat_inv(A, p)
+        except ValueError as exc:
+            # certificate of singularity: a nonzero kernel vector
+            assert "singular" in str(exc)
+            v = modp.nullspace(A, p)[0]
+            assert any(v) and all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
+            singular_seen += 1
+            continue
+        assert modp.mat_mul(inv, A, p) == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert singular_seen
+
+
+def test_pivot_rows_pick_an_independent_spanning_set():
+    rng = random.Random(9)
+    p = 3
+    for _ in range(30):
+        rows, cols = rng.randint(3, 8), rng.randint(2, 5)
+        rank = rng.randint(1, min(rows, cols) - 1)
+        basis = [[rng.randrange(p) for _ in range(cols)] for _ in range(rank)]
+        mix = [[rng.randrange(p) for _ in range(rank)] for _ in range(rows)]
+        B = modp.mat_mul(mix, basis, p)
+        piv = modp.pivot_rows(B, p)
+        chosen = _span([B[i] for i in piv], p, cols)
+        assert len(set(piv)) == len(piv) and all(0 <= i < rows for i in piv)
+        assert len(chosen) == p ** len(piv)  # independent
+        assert chosen == _span(B, p, cols)  # spanning, so len(piv) = rank(B)
+
+
 # -- exponent and class coefficients ----------------------------------------
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from charfield.cli import main
 
 
@@ -66,12 +68,6 @@ def test_verify_omega_warns_not_fails(capsys):
     assert "WARN omega-quadratic" in out and "r=12" in out
 
 
-def test_verify_jobs_transcript_identical(capsys):
-    _, serial, _ = run(capsys, "verify", "subfields", "--jobs", "1")
-    _, parallel, _ = run(capsys, "verify", "subfields", "--jobs", "4")
-    assert serial == parallel
-
-
 def test_byte_determinism(capsys):
     _, a, _ = run(capsys, "table", "D18", "--format", "json")
     _, b, _ = run(capsys, "table", "D18", "--format", "json")
@@ -109,6 +105,9 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["order"] == 4
 
 
-def test_seed_flag_accepted(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "fov", "C2", "--format", "json")
-    assert code == 0 and json.loads(out)["f"] == 2
+@pytest.mark.parametrize("argv", [("--seed", "7", "fov", "C2"),
+                                  ("verify", "subfields", "--jobs", "2")])
+def test_removed_flags_are_parse_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2

@@ -1,9 +1,11 @@
 """Groups at the edge of the documented limits, run under time and memory caps.
 
-f_value compares k with log2 log2 |G|; written literally, 2**(2**k) has
-2**k bits (8 GiB at k = 36), so these groups run in a child process whose
-address space is capped: a regression fails the test instead of exhausting
-the machine's memory.
+Each case runs in a child process whose address space is capped at 2 GiB
+and whose run time is capped at 60 s, so a regression fails the test
+instead of exhausting the machine's memory.  f_value compares k with
+log2 log2 |G|; written literally, 2**(2**k) has 2**k bits (8 GiB at
+k = 36).  Group construction must stop at the element cap (10**6) and at
+q = 32 for PSL(2,q) and SL(2,q) with exit code 3.
 """
 
 import json
@@ -16,9 +18,13 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-CHILD = """
-import json, resource, sys
+CAPPED = """
+import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+"""
+
+FOV_CHILD = CAPPED + """
+import json, sys
 from charfield import build, dixon_table, f_value
 from charfield.cli import main
 spec = sys.argv[1]
@@ -26,14 +32,38 @@ print(json.dumps(f_value(dixon_table(build(spec)), spec).to_obj()))
 sys.exit(main(["fov", spec, "--format", "json"]))
 """
 
+CLI_CHILD = CAPPED + """
+import sys
+from charfield.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(script, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
 
 @pytest.mark.parametrize("spec,k", [("C6xC6", 36), ("C7xC7", 49), ("C8xC8", 64)])
 def test_fov_at_many_classes(spec, k):
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", CHILD, spec], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_capped(FOV_CHILD, spec)
     assert done.returncode == 0, done.stderr
     direct, cli = (json.loads(line) for line in done.stdout.splitlines())
     assert direct == cli
     assert direct["k"] == direct["order"] == k
     assert direct["bounds"]["k_ge_log2log2"] is True
+
+
+@pytest.mark.parametrize("spec,code,message", [
+    ("S9xC3", 3, "closure exceeded the cap"),  # 1,088,640 elements
+    ("SL(2,37)", 3, "4 <= q <= 32"),
+    ("PSL(2,37)", 3, "4 <= q <= 32"),
+    ("PSL(2,32)", 0, ""),
+])
+def test_table_at_the_caps(spec, code, message):
+    done = run_capped(CLI_CHILD, "table", spec, "--format", "json")
+    assert done.returncode == code, done.stderr
+    assert message in done.stderr
+    if code == 0:
+        assert json.loads(done.stdout)["order"] == 32736
