@@ -4,11 +4,16 @@ A value is stored at its minimal conductor n as the coordinate vector of a
 residue in Q[z]/Phi_n(z) over the power basis 1, z, ..., z^(phi(n)-1).
 Construction always canonicalizes: reduce modulo Phi_n, then walk the
 conductor down one prime divisor at a time until no further descent is
-possible.  Two equal values therefore always have identical (n, coeffs)
-and equality, hashing and sorting are plain tuple operations.
+possible.  Two equal values therefore always have identical
+(n, coeffs, den), and equality and hashing are plain tuple operations.
 
-Coefficients are Fractions, stored as plain ints whenever the denominator
-is one (int and Fraction hash and compare consistently in Python).
+The coordinates are coeffs[i] / den: plain ints over one positive common
+denominator with gcd(den, *coeffs) == 1, a content fixed by the value since
+the power basis is a Z-basis of Z[zeta_n].  Character values are algebraic
+integers (den == 1).  Fractions appear only at the API edge: Cyclo(n,
+coeffs), from_rational, rational_value, sort_key, str, to_obj, from_obj.
+galois keeps the conductor and the content, so it needs no descent and no
+gcd (proof in its docstring).
 
 The descent n -> n/p uses the splitting of Q_n over Q_{n/p}:
 
@@ -29,14 +34,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import element_of_order, euler_phi, next_prime_in_progression, prime_factors, units
-
-Scalar = int | Fraction
-
-
-def _norm_scalar(x: Scalar) -> Scalar:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,8 +82,8 @@ def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _reduce_mod_phi(n: int, dense: list[Scalar]) -> list[Scalar]:
-    """Reduce a coefficient vector of length <= n modulo Phi_n in place."""
+def _reduce_mod_phi(n: int, dense: list[int]) -> list[int]:
+    """Reduce a coefficient vector of length n modulo Phi_n in place."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     for e in range(len(dense) - 1, deg - 1, -1):
@@ -99,12 +96,10 @@ def _reduce_mod_phi(n: int, dense: list[Scalar]) -> list[Scalar]:
                 if a:
                     dense[base + j] -= c * a
     del dense[deg:]
-    while len(dense) < deg:
-        dense.append(0)
     return dense
 
 
-def _descend_once(n: int, vec: list[Scalar]) -> tuple[int, list[Scalar]] | None:
+def _descend_once(n: int, vec: list[int]) -> tuple[int, list[int]] | None:
     """Try to rewrite vec (reduced mod Phi_n) in Q_{n/p} for some prime p|n."""
     for p in prime_factors(n):
         m = n // p
@@ -135,19 +130,22 @@ def _descend_once(n: int, vec: list[Scalar]) -> tuple[int, list[Scalar]] | None:
 class Cyclo:
     """An exact cyclotomic number at minimal conductor (immutable)."""
 
-    __slots__ = ("n", "coeffs", "_hash")
+    __slots__ = ("n", "coeffs", "den", "_hash")
 
-    def __init__(self, n: int, coeffs: tuple[Scalar, ...], _canonical: bool = False):
-        if not _canonical:
-            dense: list[Scalar] = [Fraction(c) for c in coeffs]
-            if len(dense) > n:
+    def __init__(self, n: int, coeffs, _den: int = 0):
+        # internal callers pass a canonical int tuple and its _den >= 1
+        if not _den:
+            fracs = [Fraction(c) for c in coeffs]
+            if len(fracs) > n:
                 raise ValueError("coefficient vector longer than conductor")
-            dense += [0] * (n - len(dense))
-            canon = _from_dense(n, dense)
-            n, coeffs = canon.n, canon.coeffs
+            _den = lcm(*(f.denominator for f in fracs))
+            dense = [f.numerator * (_den // f.denominator) for f in fracs]
+            canon = _from_dense(n, dense + [0] * (n - len(dense)), _den)
+            n, coeffs, _den = canon.n, canon.coeffs, canon.den
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", hash((n, coeffs)))
+        object.__setattr__(self, "den", _den)
+        object.__setattr__(self, "_hash", hash((n, coeffs, _den)))
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
@@ -155,8 +153,9 @@ class Cyclo:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def from_rational(x: Scalar) -> "Cyclo":
-        return Cyclo(1, (_norm_scalar(Fraction(x)),), _canonical=True)
+    def from_rational(x) -> "Cyclo":
+        x = Fraction(x)
+        return Cyclo(1, (x.numerator,), x.denominator)
 
     # -- predicates / accessors --------------------------------------
 
@@ -173,45 +172,37 @@ class Cyclo:
     def rational_value(self) -> Fraction:
         if self.n != 1:
             raise ValueError(f"{self} is irrational")
-        return Fraction(self.coeffs[0])
+        return Fraction(self.coeffs[0], self.den)
 
     def is_integral(self) -> bool:
         """True when all power-basis coordinates are rational integers."""
-        return all(isinstance(c, int) for c in self.coeffs)
+        return self.den == 1
 
     # -- ring operations ---------------------------------------------
-
-    def _lift_dense(self, big: int) -> list[Scalar]:
-        s = big // self.n
-        dense: list[Scalar] = [0] * big
-        for i, c in enumerate(self.coeffs):
-            if c:
-                dense[i * s] = c
-        return dense
 
     def __add__(self, other) -> "Cyclo":
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if self.n == 1 and other.n == 1:
-            return Cyclo.from_rational(Fraction(self.coeffs[0]) + Fraction(other.coeffs[0]))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
         if self.n == other.n:
             # both reduced mod the same Phi_n; only the conductor can drop
-            vec: list[Scalar] = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-            return _from_reduced(self.n, vec)
+            return _from_reduced(self.n, [a * sa + b * sb
+                                          for a, b in zip(self.coeffs, other.coeffs)], den)
         big = lcm(self.n, other.n)
-        dense = self._lift_dense(big)
-        s = big // other.n
-        for i, c in enumerate(other.coeffs):
-            if c:
-                dense[i * s] += c
-        return _from_dense(big, dense)
+        dense = [0] * big
+        for x, scale in ((self, sa), (other, sb)):
+            s = big // x.n
+            for i, c in enumerate(x.coeffs):
+                dense[i * s] += c * scale
+        return _from_dense(big, dense, den)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "Cyclo":
-        return Cyclo(self.n, tuple(_norm_scalar(-Fraction(c)) for c in self.coeffs), _canonical=True)
+        return Cyclo(self.n, tuple(-c for c in self.coeffs), self.den)
 
     def __sub__(self, other) -> "Cyclo":
         other = _coerce(other)
@@ -227,28 +218,30 @@ class Cyclo:
         if other is NotImplemented:
             return other
         if self.n == 1:
-            return other._scale(Fraction(self.coeffs[0]))
+            return other._scale(self.coeffs[0], self.den)
         if other.n == 1:
-            return self._scale(Fraction(other.coeffs[0]))
+            return self._scale(other.coeffs[0], other.den)
         big = lcm(self.n, other.n)
         sa, sb = big // self.n, big // other.n
-        dense: list[Scalar] = [0] * big
+        dense = [0] * big
         bi = [(j * sb % big, d) for j, d in enumerate(other.coeffs) if d]
         for i, c in enumerate(self.coeffs):
             if c:
                 e0 = i * sa
                 for e1, d in bi:
                     dense[(e0 + e1) % big] += c * d
-        return _from_dense(big, dense)
+        return _from_dense(big, dense, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def _scale(self, q: Fraction) -> "Cyclo":
-        if q == 0:
-            return Cyclo.from_rational(0)
-        # scaling by a nonzero rational never changes the minimal conductor
-        return Cyclo(self.n, tuple(_norm_scalar(q * c) for c in self.coeffs), _canonical=True)
+    def _scale(self, a: int, b: int) -> "Cyclo":
+        if a == 0:
+            return Cyclo(1, (0,), 1)
+        # the conductor stays; a/b and coeffs/den are in lowest terms, so as
+        # for fractions the product reduces by gcd(a, den) * gcd(b, content)
+        g, h = gcd(a, self.den), gcd(b, *self.coeffs)
+        return Cyclo(self.n, tuple(a // g * c // h for c in self.coeffs), b // h * self.den // g)
 
     # -- comparison / hashing ----------------------------------------
 
@@ -256,14 +249,14 @@ class Cyclo:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self.den == other.den and self.coeffs == other.coeffs
 
     def __hash__(self):
         return self._hash
 
     def sort_key(self):
         """Total order used for deterministic row ordering."""
-        return (self.n, tuple(Fraction(c) for c in self.coeffs))
+        return (self.n, tuple(Fraction(c, self.den) for c in self.coeffs))
 
     # -- presentation -------------------------------------------------
 
@@ -272,13 +265,13 @@ class Cyclo:
 
     def __str__(self):
         if self.n == 1:
-            return str(self.coeffs[0])
+            return str(self.rational_value())
         parts = []
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
             e = f"E({self.n})" + (f"^{i}" if i > 1 else "") if i else ""
-            c = Fraction(c)
+            c = Fraction(c, self.den)
             if not e:
                 parts.append(str(c))
             elif c == 1:
@@ -294,59 +287,68 @@ class Cyclo:
 
     def to_obj(self):
         """JSON-ready form: {"n": conductor, "c": [[exponent, num, den], ...]}."""
-        cs = [[i, Fraction(c).numerator, Fraction(c).denominator]
-              for i, c in enumerate(self.coeffs) if c]
-        return {"n": self.n, "c": cs}
+        fracs = ((i, Fraction(c, self.den)) for i, c in enumerate(self.coeffs) if c)
+        return {"n": self.n, "c": [[i, f.numerator, f.denominator] for i, f in fracs]}
 
     @staticmethod
     def from_obj(obj) -> "Cyclo":
-        dense: list[Scalar] = [0] * obj["n"]
+        dense = [0] * obj["n"]
         for i, num, den in obj["c"]:
             dense[i] = Fraction(num, den)
-        return _from_dense(obj["n"], dense)
+        return Cyclo(obj["n"], dense)
 
 
 def _coerce(x) -> "Cyclo":
     if isinstance(x, Cyclo):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
+        return Cyclo(1, (int(x),), 1)
+    if isinstance(x, Fraction):
         return Cyclo.from_rational(x)
     return NotImplemented
 
 
-def _from_dense(n: int, dense: list[Scalar]) -> Cyclo:
-    return _from_reduced(n, _reduce_mod_phi(n, dense))
+def _from_dense(n: int, dense: list[int], den: int = 1) -> Cyclo:
+    return _from_reduced(n, _reduce_mod_phi(n, dense), den)
 
 
-def _from_reduced(n: int, vec: list[Scalar]) -> Cyclo:
-    # vec already reduced mod Phi_n; only descent remains
+def _from_reduced(n: int, vec: list[int], den: int) -> Cyclo:
+    # vec/den, vec already reduced mod Phi_n; descent and content remain
     while n > 1:
         step = _descend_once(n, vec)
         if step is None:
             break
         n, vec = step
-    return Cyclo(n, tuple(_norm_scalar(Fraction(c)) for c in vec), _canonical=True)
+    if den != 1:
+        g = gcd(den, *vec)
+        vec, den = [x // g for x in vec], den // g
+    return Cyclo(n, tuple(vec), den)
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclo:
     """zeta_n^k as an exact value (canonicalized)."""
     if n < 1:
         raise ValueError("order of the root must be positive")
-    dense: list[Scalar] = [0] * n
+    dense = [0] * n
     dense[k % n] = 1
     return _from_dense(n, dense)
 
 
 def cyclo_from_root_counts(n: int, counts) -> Cyclo:
     """Sum of counts[d] * zeta_n^d (the lifted form used by character tables)."""
-    dense: list[Scalar] = [0] * n
+    dense = [0] * n
     for d, c in enumerate(counts):
-        dense[d % n] += c
+        dense[d % n] += int(c)
     return _from_dense(n, dense)
 
 
 def galois(c: Cyclo, k: int) -> Cyclo:
-    """Image of c under sigma_k: zeta_n -> zeta_n^k; k must be coprime to n."""
+    """Image of c under sigma_k: zeta_n -> zeta_n^k; k must be coprime to n.
+
+    sigma_k is an automorphism of Q_n that maps Z[zeta_n] onto itself.  So
+    the image keeps the minimal conductor n, because every Q_m is
+    Galois-stable, and the content, because g | sigma_k(v) iff g | v.
+    """
     n = c.n
     if n == 1:
         return c
@@ -355,11 +357,12 @@ def galois(c: Cyclo, k: int) -> Cyclo:
         raise ValueError(f"{k} is not coprime to the conductor {n}")
     if k == 1:
         return c
-    dense: list[Scalar] = [0] * n
+    dense = [0] * n
     for i, x in enumerate(c.coeffs):
         if x:
-            dense[i * k % n] += x
-    return _from_dense(n, dense)
+            # i -> i*k is injective mod n, so no two terms collide
+            dense[i * k % n] = x
+    return Cyclo(n, tuple(_reduce_mod_phi(n, dense)), c.den)
 
 
 def conjugate(c: Cyclo) -> Cyclo:
@@ -390,13 +393,9 @@ def degree_over_Q(c: Cyclo) -> int:
     n = c.n
     if n == 1:
         return 1
-    den = 1
-    for x in c.coeffs:
-        if not isinstance(x, int):
-            den = lcm(den, x.denominator)
-    ints = [int(Fraction(x) * den) for x in c.coeffs]
+    # a rational scale does not change the stabilizer, so den plays no part
     p, powers = _eval_point(n)
-    support = [(i, v % p) for i, v in enumerate(ints) if v]
+    support = [(i, v % p) for i, v in enumerate(c.coeffs) if v]
     imgs = {}
     for k in units(n):
         imgs[k] = sum(v * powers[i * k % n] for i, v in support) % p

@@ -25,7 +25,8 @@ DEFAULT_CAP = 10**6
 
 
 class GroupTooLargeError(ValueError):
-    pass
+    def __init__(self, cap: int):
+        super().__init__(f"group too large: closure exceeded the cap of {cap} elements")
 
 
 class Permutation:
@@ -83,14 +84,6 @@ class Permutation:
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
-
-    def __pow__(self, k: int) -> "Permutation":
-        out = [0] * self.degree
-        for cyc in self.cycles():
-            L = len(cyc)
-            for idx, pt in enumerate(cyc):
-                out[pt] = cyc[(idx + k) % L]
-        return Permutation(out)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -278,8 +271,7 @@ def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGrou
                 key = row.tobytes()
                 if key not in seen:
                     if len(rows) >= cap:
-                        raise GroupTooLargeError(
-                            f"group too large: closure exceeded the cap of {cap} elements")
+                        raise GroupTooLargeError(cap)
                     seen.add(key)
                     nxt.append(len(rows))
                     rows.append(row.copy())
@@ -297,19 +289,11 @@ class ClassData:
     sizes: tuple[int, ...]
     class_of: np.ndarray             # element id -> class index
     element_orders: tuple[int, ...]  # order of the representative per class
-    _power_cache: dict = field(default_factory=dict, repr=False)
+    powers: tuple[tuple[int, ...], ...] = field(repr=False)  # [i][t]: class of rep_i^t
 
     def power_map(self, i: int, k: int) -> int:
         """Class of rep_i ** k (well-defined on the class)."""
-        o = self.element_orders[i]
-        k %= o
-        key = (i, k)
-        got = self._power_cache.get(key)
-        if got is None:
-            rep = self.group.element(self.reps[i])
-            got = int(self.class_of[self.group.id_of(rep**k)])
-            self._power_cache[key] = got
-        return got
+        return self.powers[i][k % self.element_orders[i]]
 
     def inverse_class(self, i: int) -> int:
         return self.power_map(i, -1)
@@ -320,6 +304,10 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
 
     Classes are ordered by (element order, class size, smallest element id);
     the identity class is always first.
+
+    Orders and power maps come from base images: the base separates G, so
+    x^t is the identity exactly when it fixes the base, and the walk b, x(b),
+    x^2(b), ... of a class representative x first returns at t = o(x).
     """
     n = group.order
     conj_maps = []
@@ -328,8 +316,9 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
         ginv = np.array(g.inverse().images, dtype=np.int32)
         # (g^-1 x g)(b) = g^-1(x(g(b))) for every x
         conj_maps.append(group.ids_of_base_images(ginv[group.rows[:, g_base]]))
+    base = np.array(group.base, dtype=np.intp)
     class_of = np.full(n, -1, dtype=np.int32)
-    raw = []
+    raw, walks = [], []
     for seed in range(n):
         if class_of[seed] >= 0:
             continue
@@ -345,18 +334,27 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
                     class_of[y] = cls
                     size += 1
                     stack.append(y)
-        raw.append((seed, size, group.element(seed).order()))
+        # an empty base (the trivial group) walks one step
+        row, walk = group.rows[seed], [base]
+        while not np.array_equal(cur := row[walk[-1]], base):
+            walk.append(cur)
+        raw.append((seed, size, len(walk), len(walks)))
+        walks.extend(walk)
+    power_ids = group.ids_of_base_images(walks)
     order_key = sorted(range(len(raw)), key=lambda c: (raw[c][2], raw[c][1], raw[c][0]))
     relabel = np.empty(len(raw), dtype=np.int32)
     for new, old in enumerate(order_key):
         relabel[old] = new
+    class_of = relabel[class_of]
+    power_classes = class_of[power_ids].tolist()  # [start + t]: class of rep^t
     return ClassData(
         group=group,
         k=len(raw),
         reps=tuple(raw[c][0] for c in order_key),
         sizes=tuple(raw[c][1] for c in order_key),
-        class_of=relabel[class_of],
+        class_of=class_of,
         element_orders=tuple(raw[c][2] for c in order_key),
+        powers=tuple(tuple(power_classes[raw[c][3]:raw[c][3] + raw[c][2]]) for c in order_key),
     )
 
 

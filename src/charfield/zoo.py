@@ -16,11 +16,12 @@ ORDER n, n even, n >= 6.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .arith import factorize, is_prime, multiplicative_order
 from .gf import field
-from .perm import PermGroup, Permutation, enumerate_group
+from .perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation, enumerate_group
 
 
 class SpecSyntaxError(ValueError):
@@ -249,6 +250,8 @@ def sz(q: int) -> PermGroup:
 
 def product(groups: list[PermGroup]) -> PermGroup:
     """Direct product acting on the disjoint union of the factors' points."""
+    if math.prod(g.order for g in groups) > DEFAULT_CAP:
+        raise GroupTooLargeError(DEFAULT_CAP)
     degree = sum(g.degree for g in groups)
     gens = []
     offset = 0

@@ -37,7 +37,7 @@ def test_mul_matches_composition(spec):
             assert g.mul(x, y) == full[g.rows[x][g.rows[y]].tobytes()]
 
 
-def test_keys_over_two_levels():
+def two_level_group():
     # six disjoint transpositions on 4096 points: the base has 6 points and
     # 4096**6 = 2**72 > KEY_LIMIT, so the keys are re-ranked once
     degree = 4096
@@ -46,7 +46,12 @@ def test_keys_over_two_levels():
         images = list(range(degree))
         images[2 * i], images[2 * i + 1] = 2 * i + 1, 2 * i
         gens.append(Permutation(images))
-    g = enumerate_group(degree, gens)
+    return enumerate_group(degree, gens)
+
+
+def test_keys_over_two_levels():
+    g = two_level_group()
+    degree = g.degree
     assert g.order == 64 and g.base == (0, 2, 4, 6, 8, 10)
     assert degree ** len(g.base) > KEY_LIMIT and len(g._levels) == 2
     assert g.ids_of_base_images(g.rows[:, list(g.base)]).tolist() == list(range(64))
@@ -84,3 +89,17 @@ def test_trivial_group_has_empty_base():
     g = enumerate_group(3, [])
     assert g.base == () and g.id_of(Permutation([0, 1, 2])) == 0
     assert g.mul(0, 0) == 0 and g.inv_ids.tolist() == [0]
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "F21", "Sz(8)", "C2^6 on 4096 points", "C1"])
+def test_power_map_matches_repeated_products(spec):
+    g = two_level_group() if spec.startswith("C2^6") else build(spec)
+    classes = conjugacy_classes(g)
+    for i, rep in enumerate(classes.reps):
+        x, o = g.element(rep), classes.element_orders[i]
+        assert x.order() == o
+        power = Permutation.identity(g.degree)
+        for t in range(2 * o + 1):
+            want = int(classes.class_of[g.id_of(power)])
+            assert classes.power_map(i, t) == classes.power_map(i, t - 2 * o) == want
+            power = power * x

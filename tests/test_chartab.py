@@ -306,6 +306,21 @@ def test_mutation_breaks_row_orthogonality():
     assert not rep.all_ok
 
 
+def test_mutation_breaks_galois_closure():
+    # A5's two degree-3 rows take the values (1 +- sqrt 5)/2 and are swapped
+    # by sigma_2; with one replaced by a copy of the other, sigma_2 maps the
+    # copy to a row that is no longer in the table
+    t = table("A5")
+    i, j = [r for r, d in enumerate(t.degrees) if d == 3]
+    values, counts = list(t.values), list(t.root_counts)
+    values[j], counts[j] = values[i], counts[i]
+    bad = dataclasses.replace(t, values=tuple(values), root_counts=tuple(counts))
+    rep = validate_table(bad)
+    assert validate_table(t).galois_closure
+    assert not rep.galois_closure
+    assert rep.integrality and rep.degree_sum and rep.first_column
+
+
 def test_table_json_shape():
     obj = table("C4").to_obj("C4")
     assert obj["order"] == 4 and obj["exponent"] == 4

@@ -195,3 +195,118 @@ def test_sort_key_total_order():
     keys = [v.sort_key() for v in vals]
     assert len(set(keys)) == len(keys)
     sorted(keys)
+
+
+# -- the (n, coeffs, den) representation against an independent oracle ------
+
+
+def _order_n_root_mod_p(N):
+    """A prime p = 1 (mod N) and theta of order exactly N in GF(p)."""
+    p = 10**4 * N + 1
+    while any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        p += N
+    qs = [q for q in range(2, N + 1) if N % q == 0 and all(q % d for d in range(2, q))]
+    for a in range(2, p):
+        theta = pow(a, (p - 1) // N, p)
+        if all(pow(theta, N // q, p) != 1 for q in qs):
+            return p, theta
+
+
+def _eval_dense(dense, theta, p):
+    """sum dense[i] * theta^i in GF(p); dense holds Fractions with den prime to p."""
+    acc = 0
+    for i, c in enumerate(dense):
+        acc += c.numerator * pow(c.denominator, -1, p) * pow(theta, i, p)
+    return acc % p
+
+
+def _eval(v, N, theta, p):
+    # zeta_n = zeta_N^(N/n): the ring homomorphism Z[1/6][zeta_N] -> GF(p)
+    assert N % v.n == 0
+    t = pow(theta, N // v.n, p)
+    return sum(c * pow(t, i, p) for i, c in enumerate(v.coeffs)) * pow(v.den, -1, p) % p
+
+
+def _assert_canonical(v):
+    assert all(type(c) is int for c in v.coeffs) and type(v.den) is int
+    assert v.den >= 1 and gcd(v.den, *v.coeffs) == 1
+
+
+def _random_fraction_vector(rng, N):
+    den = rng.choice([1, 2, 3, 6])
+    dense = [Fraction(0)] * N
+    for _ in range(rng.randint(1, 5)):
+        dense[rng.randrange(N)] = Fraction(rng.randint(-6, 6), den)
+    return dense
+
+
+@pytest.mark.parametrize("N", [4, 9, 12, 15, 20, 21])
+def test_evaluation_mod_p_commutes_with_the_ring_operations(N):
+    rng = random.Random(N)
+    p, theta = _order_n_root_mod_p(N)
+    units_N = [k for k in range(1, N) if gcd(k, N) == 1]
+    for _ in range(60):
+        da, db = _random_fraction_vector(rng, N), _random_fraction_vector(rng, N)
+        a, b = Cyclo(N, da), Cyclo(N, db)
+        for v in (a, b, a + b, a * b, -a, a - b):
+            _assert_canonical(v)
+        ea, eb = _eval(a, N, theta, p), _eval(b, N, theta, p)
+        assert ea == _eval_dense(da, theta, p) and eb == _eval_dense(db, theta, p)
+        assert _eval(a + b, N, theta, p) == (ea + eb) % p
+        assert _eval(a * b, N, theta, p) == ea * eb % p
+        assert _eval(-a, N, theta, p) == -ea % p
+        k = rng.choice(units_N)
+        image = galois(a, k)
+        _assert_canonical(image)
+        # sigma_k is zeta_N -> zeta_N^k, i.e. evaluation at theta^k
+        assert _eval(image, N, theta, p) == _eval_dense(da, pow(theta, k, p), p)
+
+
+def test_galois_is_the_full_canonicalisation_of_the_reindexed_vector():
+    from charfield.cyclo import _from_dense
+
+    rng = random.Random(11)
+    for _ in range(200):
+        N = rng.choice([5, 8, 9, 12, 15, 20, 24])
+        c = Cyclo(N, _random_fraction_vector(rng, N))
+        n = c.n
+        for k in (k for k in range(1, n) if gcd(k, n) == 1):
+            permuted = [0] * n
+            for i, x in enumerate(c.coeffs):
+                permuted[i * k % n] += x
+            want = _from_dense(n, permuted, c.den)
+            got = galois(c, k)
+            assert (got.n, got.coeffs, got.den) == (want.n, want.coeffs, want.den)
+
+
+def test_integer_results_keep_denominator_one():
+    half = Fraction(1, 2)
+    v = half * (2 * root_of_unity(7)) + half + half
+    assert v == root_of_unity(7) + 1 and v.den == 1 and v.is_integral()
+    assert (Fraction(1, 3) * root_of_unity(5)).den == 3
+    assert not (Fraction(1, 3) * root_of_unity(5)).is_integral()
+    zero = Fraction(1, 6) * root_of_unity(9) - Fraction(1, 6) * root_of_unity(9)
+    assert (zero.n, zero.coeffs, zero.den) == (1, (0,), 1)
+    _assert_canonical(Cyclo(4, [1.5, 0.25]))
+
+
+def test_fractional_values_at_the_api_edge():
+    v = Fraction(1, 2) * root_of_unity(5) + Fraction(2, 3) * root_of_unity(5, 3)
+    assert (v.coeffs, v.den) == ((0, 3, 0, 4), 6)
+    assert v.to_obj() == {"n": 5, "c": [[1, 1, 2], [3, 2, 3]]}
+    assert str(v) == "1/2*E(5)+2/3*E(5)^3"
+    assert v.sort_key() == (5, (0, Fraction(1, 2), 0, Fraction(2, 3)))
+    assert all(type(x) is Fraction for x in v.sort_key()[1])
+    w = Fraction(1, 2) * root_of_unity(5, 4)
+    assert w.to_obj() == {"n": 5, "c": [[i, -1, 2] for i in range(4)]}
+    assert str(w) == "-1/2-1/2*E(5)-1/2*E(5)^2-1/2*E(5)^3"
+    u = Fraction(1, 6) * root_of_unity(12) - Fraction(1, 4)
+    assert u.to_obj() == {"n": 12, "c": [[0, -1, 4], [1, 1, 6]]}
+    assert str(u) == "-1/4+1/6*E(12)"
+    assert u.sort_key() == (12, (Fraction(-1, 4), Fraction(1, 6), 0, 0))
+    r = Cyclo.from_rational(Fraction(-3, 4))
+    assert (r.to_obj(), str(r), r.sort_key()) == ({"n": 1, "c": [[0, -3, 4]]}, "-3/4",
+                                                  (1, (Fraction(-3, 4),)))
+    assert r.rational_value() == Fraction(-3, 4)
+    for x in (v, w, u, r):
+        assert Cyclo.from_obj(x.to_obj()) == x

@@ -57,6 +57,7 @@ def test_fov_at_many_classes(spec, k):
 
 @pytest.mark.parametrize("spec,code,message", [
     ("S9xC3", 3, "closure exceeded the cap"),  # 1,088,640 elements
+    ("S8xC25", 3, "closure exceeded the cap"),  # 1,008,000 elements
     ("SL(2,37)", 3, "4 <= q <= 32"),
     ("PSL(2,37)", 3, "4 <= q <= 32"),
     ("PSL(2,32)", 0, ""),

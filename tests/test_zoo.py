@@ -2,7 +2,14 @@ from collections import Counter
 
 import pytest
 
-from charfield.perm import conjugacy_classes, derived_subgroup, element_order_spectrum, quotient_group
+from charfield import zoo
+from charfield.perm import (
+    GroupTooLargeError,
+    conjugacy_classes,
+    derived_subgroup,
+    element_order_spectrum,
+    quotient_group,
+)
 from charfield.zoo import (
     GroupSpec,
     SpecSemanticError,
@@ -169,3 +176,18 @@ def test_degree_multiset_match_needs_table():
     # class sizes as a multiset, used again by the character-table tests
     sizes = Counter(conjugacy_classes(build("A5")).sizes)
     assert sizes == Counter({1: 1, 15: 1, 20: 1, 12: 2})
+
+
+def test_product_checks_the_cap_before_enumerating(monkeypatch):
+    # |S8 x C25| = 40320 * 25 = 1,008,000 exceeds the cap of 10**6
+    factors = [build("S8"), build("C25")]
+    degrees = []
+
+    def enumerate_refused(degree, generators, *args, **kwargs):
+        degrees.append(degree)
+        raise AssertionError(f"enumerated the product on {degree} points")
+
+    monkeypatch.setattr(zoo, "enumerate_group", enumerate_refused)
+    with pytest.raises(GroupTooLargeError, match="closure exceeded the cap of 1000000 elements"):
+        product(factors)
+    assert degrees == []
