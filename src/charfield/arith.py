@@ -70,13 +70,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def divisors(n: int) -> list[int]:
-    out = [1]
-    for p, k in factorize(n).items():
-        out = [d * p**j for d in out for j in range(k + 1)]
-    return sorted(out)
-
-
 def units(n: int) -> tuple[int, ...]:
     """Residues coprime to n in [1, n]; (1,) for n == 1."""
     if n == 1:

@@ -15,6 +15,7 @@ is independent of the prime and of any scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,8 +86,33 @@ class CharacterTable:
     def k(self) -> int:
         return self.classes.k
 
-    def row(self, i: int) -> tuple[Cyclo, ...]:
-        return self.values[i]
+    @functools.cached_property
+    def galois_action(self) -> dict[int, tuple[int, ...]] | None:
+        """act[k][i] is the index of the row sigma_k(chi_i), for every unit k
+        mod the exponent; None when some image is not a row.
+
+        galois runs only for a unit k outside the subgroup H reached so far;
+        as sigma_ab = sigma_a sigma_b, the cosets H k^j are filled in by
+        composing index tuples.  A finite row set closed under every tested
+        k is closed under the group they generate, which the loop ends at:
+        so None means exactly that the rows are not Galois-closed.
+        """
+        e = self.exponent
+        # a repeated row maps to the index of its last copy, here and below
+        index = {row: i for i, row in enumerate(self.values)}
+        act = {1: tuple(index[row] for row in self.values)}
+        for k in units(e):
+            if k in act:
+                continue
+            gen = tuple(index.get(tuple(galois(v, k) for v in row), -1) for row in self.values)
+            if -1 in gen:
+                return None
+            subgroup, step, kj = list(act.items()), gen, k
+            while kj not in act:
+                for h, perm in subgroup:
+                    act[h * kj % e] = tuple(step[x] for x in perm)
+                step, kj = tuple(gen[x] for x in step), kj * k % e
+        return act
 
     def to_obj(self, name: str = "") -> dict:
         # the working prime stays off the wire: the exact table is
@@ -240,7 +266,8 @@ def abelian_character_table(group: PermGroup,
     if classes is None:
         classes = conjugacy_classes(group)
     n = group.order
-    orders = group.element_orders()
+    # element orders are constant on classes
+    orders = [classes.element_orders[c] for c in classes.class_of]
 
     # cyclic basis: an element of maximal order whose cyclic subgroup meets
     # the current span trivially generates a direct summand, so the greedy
@@ -407,16 +434,7 @@ def validate_table(table: CharacterTable) -> TableValidation:
     if not first_col:
         failures.append("first column does not list positive integer degrees")
 
-    row_set = {row: i for i, row in enumerate(values)}
-    closure = True
-    for k in units(table.exponent):
-        for row in values:
-            image = tuple(galois(v, k) for v in row)
-            if image not in row_set:
-                closure = False
-                break
-        if not closure:
-            break
+    closure = table.galois_action is not None
     if not closure:
         failures.append("row set is not closed under the Galois action")
 

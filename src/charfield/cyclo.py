@@ -166,9 +166,6 @@ class Cyclo:
     def is_rational(self) -> bool:
         return self.n == 1
 
-    def is_zero(self) -> bool:
-        return self.n == 1 and self.coeffs[0] == 0
-
     def rational_value(self) -> Fraction:
         if self.n != 1:
             raise ValueError(f"{self} is irrational")

@@ -1,11 +1,11 @@
 """Fields of values, their multiplicities, and the bound comparisons.
 
-The field of values of a row is computed from its Galois stabilizer
-{k coprime to the exponent : chi(g^k) = chi(g) for all g} via the class
-power maps; the label is then pushed down to the smallest cyclotomic
-conductor containing the field so that the same subfield arising in
-different groups gets the same key.  f(G) is the largest number of rows
-sharing one field label.
+Q(chi) is the fixed field of chi's stabilizer under the Galois action on
+the rows (CharacterTable.galois_action).  Its label is that stabilizer mod
+the smallest conductor m with Q(chi) inside Q_m, so the same subfield
+arising in different groups gets the same key.  m is the lcm of the
+values' conductors, as Q(chi) is their compositum.  f(G) is the largest
+number of rows sharing one field label.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import euler_phi, floor_log2_log2, prime_exponent_sum, prime_factors, units
+from .arith import euler_phi, floor_log2_log2, prime_exponent_sum
 from .chartab import CharacterTable
 from .cyclo import degree_over_Q
 
@@ -31,9 +31,6 @@ class FieldLabel:
     stabilizer: tuple[int, ...]
     degree: int
 
-    def is_rational(self) -> bool:
-        return self.conductor == 1
-
     def __str__(self):
         if self.conductor == 1:
             return "Q"
@@ -43,35 +40,18 @@ class FieldLabel:
 RATIONAL_FIELD = FieldLabel(1, (1,), 1)
 
 
-def _descend_label(n: int, stab: frozenset[int]) -> FieldLabel:
-    while n > 1:
-        for p in prime_factors(n):
-            m = n // p
-            kernel = [k for k in units(n) if k % max(m, 1) == 1 % max(m, 1)]
-            if all(k in stab for k in kernel):
-                stab = frozenset(k % m for k in stab) if m > 1 else frozenset({1})
-                n = m
-                break
-        else:
-            break
-    if n == 1:
-        return RATIONAL_FIELD
-    degree = euler_phi(n) // len(stab)
-    return FieldLabel(n, tuple(sorted(stab)), degree)
-
-
 def field_of_values(table: CharacterTable, row: int) -> FieldLabel:
     """Canonical label of Q(chi) for one row of the table."""
-    e = table.exponent
+    act = table.galois_action
+    if act is None:
+        raise ArithmeticError("the row set is not closed under the Galois action")
     values = table.values[row]
-    classes = table.classes
-    stab = []
-    for k in units(e):
-        if all(values[classes.power_map(j, k)] == values[j] for j in range(classes.k)):
-            stab.append(k)
-    label = _descend_label(e, frozenset(stab))
-    # cross-check: the stabilizer-index degree equals the largest degree of
-    # a single value
+    m = math.lcm(*(v.n for v in values))
+    if m == 1:
+        return RATIONAL_FIELD
+    stab = sorted({k % m for k, perm in act.items() if perm[row] == act[1][row]})
+    label = FieldLabel(m, tuple(stab), euler_phi(m) // len(stab))
+    # cross-check: the stabilizer index is the largest degree of one value
     value_degree = max(degree_over_Q(v) for v in values)
     if value_degree != label.degree:  # pragma: no cover - fails only on a bug
         raise ArithmeticError(

@@ -150,7 +150,6 @@ class PermGroup:
         self._base_cols = np.array(self.base, dtype=np.intp)
         self._levels, self._key_ids = self._build_keys()
         self._inv_ids: np.ndarray | None = None
-        self._orders: list[int] | None = None
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -242,11 +241,6 @@ class PermGroup:
     def inverse_id(self, i: int) -> int:
         return int(self.inv_ids[i])
 
-    def element_orders(self) -> list[int]:
-        if self._orders is None:
-            self._orders = [self.element(i).order() for i in range(self.order)]
-        return self._orders
-
 
 def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGroup:
     """Breadth-first closure of the generators, identity first."""
@@ -305,35 +299,38 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
     Classes are ordered by (element order, class size, smallest element id);
     the identity class is always first.
 
+    Every element's label starts at its own id; each round lowers it to the
+    label of its image under every conjugation map, then to the label of its
+    label.  A label stays in its element's class and never exceeds its id.
+    At the fixpoint lab[x] <= lab[c(x)] for every map c; c is a permutation,
+    so following its cycle back to x makes these equalities.  Then lab is
+    constant on each orbit of the maps, which is a class, and as it lies in
+    the class and below every id there, it is the class's smallest id.
+
     Orders and power maps come from base images: the base separates G, so
     x^t is the identity exactly when it fixes the base, and the walk b, x(b),
     x^2(b), ... of a class representative x first returns at t = o(x).
     """
-    n = group.order
     conj_maps = []
     for g in group.generators:
         g_base = [g.images[b] for b in group.base]
         ginv = np.array(g.inverse().images, dtype=np.int32)
         # (g^-1 x g)(b) = g^-1(x(g(b))) for every x
         conj_maps.append(group.ids_of_base_images(ginv[group.rows[:, g_base]]))
+    lab = np.arange(group.order)
+    while True:
+        new = lab
+        for cmap in conj_maps:
+            new = np.minimum(new, new[cmap])
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    seeds, class_of = np.unique(lab, return_inverse=True)
+    sizes = np.bincount(class_of).tolist()
     base = np.array(group.base, dtype=np.intp)
-    class_of = np.full(n, -1, dtype=np.int32)
     raw, walks = [], []
-    for seed in range(n):
-        if class_of[seed] >= 0:
-            continue
-        cls = len(raw)
-        class_of[seed] = cls
-        stack = [seed]
-        size = 1
-        while stack:
-            x = stack.pop()
-            for cmap in conj_maps:
-                y = int(cmap[x])
-                if class_of[y] < 0:
-                    class_of[y] = cls
-                    size += 1
-                    stack.append(y)
+    for seed, size in zip(seeds.tolist(), sizes):
         # an empty base (the trivial group) walks one step
         row, walk = group.rows[seed], [base]
         while not np.array_equal(cur := row[walk[-1]], base):
@@ -365,7 +362,7 @@ def power_map(classes: ClassData, k: int) -> tuple[int, ...]:
 
 def element_order_spectrum(group: PermGroup) -> tuple[int, ...]:
     """Sorted orders of the non-identity elements."""
-    return tuple(sorted(set(group.element_orders()) - {1}))
+    return tuple(sorted(set(conjugacy_classes(group).element_orders) - {1}))
 
 
 @dataclass(eq=False)

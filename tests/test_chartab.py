@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from charfield import modp
+from charfield.arith import units
 from charfield.chartab import (
     abelian_character_table,
     admissible_prime,
@@ -13,7 +14,8 @@ from charfield.chartab import (
     exponent,
     validate_table,
 )
-from charfield.cyclo import Cyclo, root_of_unity
+from charfield.cyclo import Cyclo, galois, root_of_unity
+from charfield.fov import f_value, field_of_values
 from charfield.perm import conjugacy_classes
 from charfield.zoo import build
 
@@ -285,8 +287,6 @@ def test_validation_passes_on_small_corpus():
 
 def test_a4_galois_pairing():
     # sigma_2 swaps the two linear rows with values in Q(zeta_3)
-    from charfield.cyclo import galois
-
     t = table("A4")
     cubic_rows = [row for row, d in zip(t.values, t.degrees)
                   if d == 1 and any(v.n == 3 for v in row)]
@@ -319,6 +319,30 @@ def test_mutation_breaks_galois_closure():
     assert validate_table(t).galois_closure
     assert not rep.galois_closure
     assert rep.integrality and rep.degree_sum and rep.first_column
+
+
+@pytest.mark.parametrize("spec", ["A5", "C12", "F52", "PSL(2,19)", "Sz(8)", "C7xC7"])
+def test_galois_action_against_every_unit(spec):
+    # oracle: map every row through galois for every unit of the exponent
+    t = table(spec)
+    index = {row: i for i, row in enumerate(t.values)}
+    want = {k: tuple(index[tuple(galois(v, k) for v in row)] for row in t.values)
+            for k in units(t.exponent)}
+    assert t.galois_action == want
+
+
+def test_fields_of_values_need_a_closed_row_set():
+    # the duplicate-row A5 table of test_mutation_breaks_galois_closure
+    t = table("A5")
+    i, j = [r for r, d in enumerate(t.degrees) if d == 3]
+    values, counts = list(t.values), list(t.root_counts)
+    values[j], counts[j] = values[i], counts[i]
+    bad = dataclasses.replace(t, values=tuple(values), root_counts=tuple(counts))
+    assert bad.galois_action is None
+    with pytest.raises(ArithmeticError):
+        field_of_values(bad, i)
+    with pytest.raises(ArithmeticError):
+        f_value(bad, "A5")
 
 
 def test_table_json_shape():

@@ -15,6 +15,7 @@ from charfield.perm import (
     power_map,
     quotient_group,
 )
+from charfield.zoo import build
 
 
 def cycle(degree, *cycles):
@@ -119,6 +120,23 @@ def test_order_constant_on_classes():
 def test_element_order_spectrum():
     assert element_order_spectrum(C4) == (2, 4)
     assert element_order_spectrum(A5) == (2, 3, 5)
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5", "F21", "D18", "C7xC7", "C1"])
+def test_classes_against_brute_force_orbits(spec):
+    # oracle: the orbit of x under x -> g^-1 x g for every g in G, by
+    # composing Permutation objects
+    g = build(spec)
+    cd = conjugacy_classes(g)
+    elements = [g.element(i) for i in range(g.order)]
+    ids = {x.images: i for i, x in enumerate(elements)}
+    pairs = [(y.inverse(), y) for y in elements]
+    for c in range(cd.k):
+        x = elements[cd.reps[c]]
+        orbit = {ids[(yinv * x * y).images] for yinv, y in pairs}
+        assert min(orbit) == cd.reps[c]
+        assert len(orbit) == cd.sizes[c]
+        assert {int(i) for i in np.flatnonzero(cd.class_of == c)} == orbit
 
 
 def test_derived_subgroup():

@@ -65,7 +65,7 @@ def test_frobenius_abelianization():
         assert d.order == p
         q = quotient_group(g, d)
         assert q.order == k
-        assert max(q.element_orders()) == k  # cyclic abelianization
+        assert max(element_order_spectrum(q)) == k  # cyclic abelianization
 
 
 def test_alternating_symmetric():
