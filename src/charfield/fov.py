@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import euler_phi, floor_log2_log2, prime_exponent_sum
-from .chartab import CharacterTable
-from .cyclo import degree_over_Q
+from .chartab import CharacterTable, ComputationError
 
 
 @dataclass(frozen=True, order=True)
@@ -40,24 +39,29 @@ class FieldLabel:
 RATIONAL_FIELD = FieldLabel(1, (1,), 1)
 
 
+class GaloisClosureError(ComputationError, ArithmeticError):
+    """The rows are not closed under the Galois action, so no row has a
+    stabilizer to read a field from."""
+
+
 def field_of_values(table: CharacterTable, row: int) -> FieldLabel:
-    """Canonical label of Q(chi) for one row of the table."""
+    """Canonical label of Q(chi) for one row of the table.
+
+    sigma_k fixes Q(chi) exactly when it fixes every value, that is when it
+    maps the row to itself, so the stabilizer read from the exact row action
+    is Gal(Q_m / Q(chi)) and [Q(chi) : Q] = phi(m) / |stabilizer|.  That
+    degree can exceed the degree of every single value: Q(chi) is their
+    compositum.
+    """
     act = table.galois_action
     if act is None:
-        raise ArithmeticError("the row set is not closed under the Galois action")
+        raise GaloisClosureError("the row set is not closed under the Galois action")
     values = table.values[row]
     m = math.lcm(*(v.n for v in values))
     if m == 1:
         return RATIONAL_FIELD
     stab = sorted({k % m for k, perm in act.items() if perm[row] == act[1][row]})
-    label = FieldLabel(m, tuple(stab), euler_phi(m) // len(stab))
-    # cross-check: the stabilizer index is the largest degree of one value
-    value_degree = max(degree_over_Q(v) for v in values)
-    if value_degree != label.degree:  # pragma: no cover - fails only on a bug
-        raise ArithmeticError(
-            f"field degree mismatch on row {row}: stabilizer gives {label.degree}, "
-            f"values give {value_degree}")
-    return label
+    return FieldLabel(m, tuple(stab), euler_phi(m) // len(stab))
 
 
 @dataclass(frozen=True)

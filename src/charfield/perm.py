@@ -5,9 +5,13 @@ element.  Element ids are breadth-first from the identity with generators
 applied in the given order, so repeated enumeration of the same generator
 list reproduces identical ids, class numbering and downstream tables.
 
-After enumeration each group takes a base (a short point list whose images
-fix an element uniquely) from its table, and finds element ids from base
-images packed into int64 keys; see PermGroup.
+Enumeration starts with a stabilizer chain (schreier_sims), which gives
+|G| and a base (a short point list whose images fix an element uniquely)
+before any element is stored; a group past the element cap stops there.
+The breadth-first search then deduplicates products by their sifted base
+images, a dense key in [0, |G|), and gathers full rows only for new
+elements.  Afterwards ids are found from base images packed into int64
+keys; see PermGroup.
 
 The element cap (default 10**6) keeps accidental monsters out; the largest
 built-in group, S9, has 362880 elements.
@@ -103,24 +107,169 @@ class Permutation:
 KEY_LIMIT = 1 << 62
 
 
-def sims_base(rows: np.ndarray) -> tuple[int, ...]:
-    """A base of the group whose element table is rows.
+@dataclass(frozen=True, eq=False)
+class StabilizerChain:
+    """A base of G with its basic orbits and inverse transversals.
 
-    The next base point is the first point moved by the pointwise stabilizer
-    of the points chosen so far; a point skipped earlier is fixed by a larger
-    stabilizer, so the scan never revisits it.  The scan ends when the
-    stabilizer is trivial.
+    Level i holds the base point b_i and its basic orbit Delta_i, the orbit
+    of b_i under G^(i), the pointwise stabilizer of b_0..b_{i-1} in G, with
+    b_i first.  inv_transversals[i][c] is the row of u^-1 for an element u
+    of G^(i) sending b_i to Delta_i[c]; row 0 is the identity.  |G| is the
+    product of the orbit lengths (Lagrange, level by level, with G^(k)
+    trivial), and every x in G sifts to positions (c_0, ..., c_{k-1}): c_i
+    is where the image of b_i, after the sifts above, sits in Delta_i.
     """
-    base = []
-    stab = np.arange(rows.shape[0])
-    for p in range(rows.shape[1]):
-        if len(stab) == 1:
-            break
-        fixed = rows[stab, p] == p
-        if not fixed.all():
-            base.append(p)
-            stab = stab[fixed]
-    return tuple(base)
+
+    degree: int
+    base: tuple[int, ...]
+    orbits: tuple[np.ndarray, ...]
+    inv_transversals: tuple[np.ndarray, ...]  # |Delta_i| x degree int32 each
+    positions: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # positions[i][p] is the index of p in Delta_i, or -1
+        positions = []
+        for orbit in self.orbits:
+            position = np.full(self.degree, -1, dtype=np.int32)
+            position[orbit] = np.arange(len(orbit))
+            positions.append(position)
+        object.__setattr__(self, "positions", tuple(positions))
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(orbit) for orbit in self.orbits)
+
+    def keys(self, images) -> np.ndarray:
+        """Dense keys sum_i c_i * prod_{j>i} |Delta_j| in [0, |G|), one per row
+        of base images.
+
+        The positions c_i determine x in G (x = u_0 u_1 ... u_{k-1} for the
+        transversal elements they name), so distinct elements of G get
+        distinct keys.  A base image outside its basic orbit means the
+        permutation is not in the group the chain describes, and raises
+        ArithmeticError.
+        """
+        # one row per base point, so each level gathers contiguous columns
+        images = np.array(images, dtype=np.int32).T.copy()
+        key = np.zeros(images.shape[1], dtype=np.int64)
+        for i, (orbit, position, inv) in enumerate(
+                zip(self.orbits, self.positions, self.inv_transversals)):
+            c = position[images[i]]
+            if np.any(c < 0):
+                raise ArithmeticError("a base image lies outside its basic orbit")
+            key = key * len(orbit) + c
+            rest = images[i + 1:]
+            rest += c * np.int32(self.degree)  # flat index of inv[c, image]
+            np.take(inv.ravel(), rest, out=rest)
+        return key
+
+
+class _Level:
+    """One level of a stabilizer chain under construction."""
+
+    def __init__(self, point: int, degree: int):
+        self.ident = np.arange(degree, dtype=np.int32)
+        self.point = point
+        self.gens: list[tuple[np.ndarray, np.ndarray]] = []  # (s, s^-1)
+        self.checked: list[int] = []   # per generator: orbit positions done
+        self.orbit = [point]
+        self.position = np.full(degree, -1, dtype=np.intp)
+        self.position[point] = 0
+        self.inv = [self.ident]        # u_c^-1, where u_c sends point to orbit[c]
+
+    def add(self, s: np.ndarray, s_inv: np.ndarray) -> None:
+        """Add a generator and close the orbit under all of them."""
+        old = len(self.orbit)
+        self.gens.append((s, s_inv))
+        self.checked.append(0)
+        c = 0
+        while c < len(self.orbit):
+            beta = self.orbit[c]
+            for t, t_inv in self.gens if c >= old else self.gens[-1:]:
+                gamma = int(t[beta])
+                if self.position[gamma] < 0:
+                    self.position[gamma] = len(self.orbit)
+                    self.orbit.append(gamma)
+                    self.inv.append(self.inv[c][t_inv])
+            c += 1
+
+    def schreier_generators(self):
+        """Yield u_{s(beta)}^-1 s u_beta for every pair not yet yielded."""
+        for i, (s, _) in enumerate(self.gens):
+            while self.checked[i] < len(self.orbit):
+                c = self.checked[i]
+                self.checked[i] += 1
+                u = np.empty_like(self.ident)
+                u[self.inv[c]] = self.ident
+                yield self.inv[self.position[s[self.orbit[c]]]][s[u]]
+
+
+def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> StabilizerChain:
+    """Deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
+
+    Level i keeps generators S_i, all in G^(i), and the orbit Delta_i of b_i
+    under G_i = <S_i> with a transversal.  Inserting h from level lo sifts
+    it with full permutations: at each level j >= lo the image of b_j must
+    lie in Delta_j, and h is replaced by u^-1 h.  If the sift stops at level
+    j, or leaves a residue r != 1 below the last level (then a new base
+    point, the first point r moves, makes level j), r joins S_lo..S_j and
+    the levels j, j-1, ..., lo are closed: each Schreier generator
+    u_{s(beta)}^-1 s u_beta (beta in Delta_i, s in S_i), not seen before, is
+    inserted from level i+1.  Each generator of G is inserted from level 0.
+
+    Invariant: S_{i+1} lies in G_i.  A residue r inserted from lo is
+    y, in G_{lo-1} (or G, for lo = 0), times transversal elements of G_lo,
+    G_{lo+1}, ..., each inside G_{lo-1} by the invariant; r joins S_lo
+    onwards, so the invariant holds.  Orbits only grow and transversal rows
+    never change, so a Schreier generator checked once stays one.
+
+    Completeness: at the end every Schreier generator of every level has
+    sifted to the identity through levels i+1.., so it is a product of
+    elements of G_{i+1}.  By Schreier's lemma they generate the stabilizer
+    of b_i in G_i, and G_{i+1} fixes b_i and lies in G_i, so G_{i+1} is
+    that stabilizer.  There is no level k, so G_k = <S_k> is trivial.  G_0
+    contains the generators (each is a product of transversal elements and
+    a residue in S_0), so G_0 = G = G^(0) and by induction G_i = G^(i).
+    Hence |G| = prod |Delta_i| and the base images determine each element.
+
+    Meanwhile |Delta_i| divides [G_i : G_{i+1}], so the orbits found so far
+    bound |G| from below, and GroupTooLargeError is raised as soon as their
+    product passes cap.
+    """
+    ident = np.arange(degree, dtype=np.int32)
+    levels: list[_Level] = []
+
+    def insert(h: np.ndarray, lo: int) -> None:
+        j = lo
+        while j < len(levels):
+            c = levels[j].position[h[levels[j].point]]
+            if c < 0:
+                break
+            h = levels[j].inv[c][h]
+            j += 1
+        else:
+            moved = np.flatnonzero(h != ident)
+            if not len(moved):
+                return
+            levels.append(_Level(int(moved[0]), degree))
+        h_inv = np.empty_like(h)
+        h_inv[h] = ident
+        for level in levels[lo:j + 1]:
+            level.add(h, h_inv)
+        if math.prod(len(level.orbit) for level in levels) > cap:
+            raise GroupTooLargeError(cap)
+        for i in range(j, lo - 1, -1):
+            for y in levels[i].schreier_generators():
+                insert(y, i + 1)
+
+    for g in generators:
+        insert(np.array(g.images, dtype=np.int32), 0)
+    return StabilizerChain(
+        degree=degree,
+        base=tuple(level.point for level in levels),
+        orbits=tuple(np.array(level.orbit, dtype=np.intp) for level in levels),
+        inv_transversals=tuple(np.array(level.inv, dtype=np.int32) for level in levels),
+    )
 
 
 class PermGroup:
@@ -138,15 +287,17 @@ class PermGroup:
     level: the base is cut into consecutive chunks, and before the next point
     would push a key past KEY_LIMIT the keys so far are re-ranked to a dense
     index below |G|.  Each level is a sorted array searched with
-    np.searchsorted; a miss means "not in G".
+    np.searchsorted; a miss means "not in G".  A base that does not separate
+    the rows raises ArithmeticError.
     """
 
-    def __init__(self, degree: int, generators: list[Permutation], rows: np.ndarray):
+    def __init__(self, degree: int, generators: list[Permutation], rows: np.ndarray,
+                 base: tuple[int, ...]):
         self.degree = degree
         self.generators = tuple(generators)
         self.rows = rows          # order x degree int32, row 0 = identity
         self.order = rows.shape[0]
-        self.base = sims_base(rows)
+        self.base = tuple(base)
         self._base_cols = np.array(self.base, dtype=np.intp)
         self._levels, self._key_ids = self._build_keys()
         self._inv_ids: np.ndarray | None = None
@@ -243,34 +394,58 @@ class PermGroup:
 
 
 def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Breadth-first closure of the generators, identity first."""
+    """The element table of <generators>, in breadth-first order from the identity.
+
+    A stabilizer chain (schreier_sims) comes first: it gives |G| and a base
+    before any element is stored, and a group past cap stops there.  Then
+    the breadth-first closure runs, applying the generators in the given
+    order to each element of the frontier in turn (x-major), into a
+    preallocated |G| x degree table; see _closure_rows.
+    """
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     for g in gens:
         if g.degree != degree:
             raise ValueError("generator degree mismatch")
-    ident = np.arange(degree, dtype=np.int32)
-    rows = [ident]
-    # the base is unknown until the closure is complete, so the search
-    # deduplicates whole rows; the set is dropped with this frame
-    seen = {ident.tobytes()}
+    chain = schreier_sims(degree, gens, cap)
+    return PermGroup(degree, gens, _closure_rows(chain, gens), chain.base)
+
+
+def _closure_rows(chain: StabilizerChain, gens: list[Permutation]) -> np.ndarray:
+    """Rows of every element, ids in breadth-first order, identity first.
+
+    The products x*g of a frontier are taken x-major and deduplicated by
+    their chain keys, which are distinct on G: only the base images
+    x(g(b)) are gathered and sifted, a product is new when its key has no
+    id yet, and within a frontier the first occurrence of each key wins,
+    as in a scan over full rows.  Full rows are gathered for new elements
+    only.  A count other than |G| raises ArithmeticError.
+    """
+    order, degree, k = chain.order, chain.degree, len(chain.base)
+    rows = np.empty((order, degree), dtype=np.int32)
+    rows[0] = np.arange(degree)
+    id_of_key = np.full(order, -1, dtype=np.int32)
+    id_of_key[chain.keys([chain.base])] = 0
+    count, lo = 1, 0
     if gens:
         gmat = np.array([g.images for g in gens], dtype=np.int32)
-        frontier = [0]
-        while frontier:
-            F = np.array([rows[i] for i in frontier], dtype=np.int32)
-            # products[x, g] = row_x composed with generator g, x-major order
-            prods = F[:, gmat].reshape(-1, degree)
-            nxt = []
-            for row in prods:
-                key = row.tobytes()
-                if key not in seen:
-                    if len(rows) >= cap:
-                        raise GroupTooLargeError(cap)
-                    seen.add(key)
-                    nxt.append(len(rows))
-                    rows.append(row.copy())
-            frontier = nxt
-    return PermGroup(degree, gens, np.array(rows, dtype=np.int32))
+        g_base = gmat[:, list(chain.base)]
+        while lo < count:
+            frontier = rows[lo:count]
+            keys = chain.keys(frontier[:, g_base].reshape(len(frontier) * len(gens), k))
+            fresh = np.flatnonzero(id_of_key[keys] < 0)
+            _, first = np.unique(keys[fresh], return_index=True)
+            new = fresh[np.sort(first)]
+            x, g = np.divmod(new, len(gens))
+            block = rows[count:count + len(new)]
+            for i, images in enumerate(gmat):
+                # x*g_i(p) = x(g_i(p)): permute the columns of x's rows
+                sel = np.flatnonzero(g == i)
+                block[sel] = np.take(frontier[x[sel]], images, axis=1)
+            id_of_key[keys[new]] = np.arange(count, count + len(new))
+            lo, count = count, count + len(new)
+    if count != order:
+        raise ArithmeticError(f"the closure has {count} elements, the chain's order is {order}")
+    return rows
 
 
 @dataclass(eq=False)

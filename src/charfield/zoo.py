@@ -16,12 +16,11 @@ ORDER n, n even, n >= 6.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .arith import factorize, is_prime, multiplicative_order
 from .gf import field
-from .perm import DEFAULT_CAP, GroupTooLargeError, PermGroup, Permutation, enumerate_group
+from .perm import PermGroup, Permutation, enumerate_group
 
 
 class SpecSyntaxError(ValueError):
@@ -37,6 +36,19 @@ class SpecSemanticError(ValueError):
 
 
 # -- constructors -----------------------------------------------------------
+#
+# Each family is written as a function returning (degree, generators); the
+# builder enumerates them and keeps the function as builder.generators, so
+# a direct product is built from its factors' generators alone.
+
+
+def _enumerated(generators_of):
+    @functools.wraps(generators_of)
+    def builder(*args) -> PermGroup:
+        return enumerate_group(*generators_of(*args))
+
+    builder.generators = generators_of
+    return builder
 
 
 def _cycle_perm(degree: int, *cycles) -> Permutation:
@@ -47,13 +59,15 @@ def _cycle_perm(degree: int, *cycles) -> Permutation:
     return Permutation(images)
 
 
-def cyclic(n: int) -> PermGroup:
+@_enumerated
+def cyclic(n: int):
     if n < 1:
         raise SpecSemanticError("cyclic group needs n >= 1")
-    return enumerate_group(n, [_cycle_perm(n, tuple(range(n)))])
+    return n, [_cycle_perm(n, tuple(range(n)))]
 
 
-def dihedral(n: int) -> PermGroup:
+@_enumerated
+def dihedral(n: int):
     """Dihedral group of order n (order convention), n even, n >= 6."""
     if n % 2 or n < 6:
         raise SpecSemanticError(
@@ -61,10 +75,11 @@ def dihedral(n: int) -> PermGroup:
     m = n // 2
     rot = _cycle_perm(m, tuple(range(m)))
     refl = Permutation([(m - i) % m for i in range(m)])
-    return enumerate_group(m, [rot, refl])
+    return m, [rot, refl]
 
 
-def frobenius(p: int, k: int) -> PermGroup:
+@_enumerated
+def frobenius(p: int, k: int):
     """C_p : C_k acting on p points as x -> a*x + b, |a| = k in (Z/p)*."""
     if not is_prime(p) or p == 2:
         raise SpecSemanticError(f"Frob({p},{k}): p must be an odd prime")
@@ -73,30 +88,32 @@ def frobenius(p: int, k: int) -> PermGroup:
     a = next(a for a in range(2, p) if multiplicative_order(a, p) == k)
     trans = Permutation([(x + 1) % p for x in range(p)])
     mult = Permutation([a * x % p for x in range(p)])
-    return enumerate_group(p, [trans, mult])
+    return p, [trans, mult]
 
 
-def symmetric(n: int) -> PermGroup:
+@_enumerated
+def symmetric(n: int):
     if not 2 <= n <= 9:
         raise SpecSemanticError("S n is supported for 2 <= n <= 9")
     gens = [_cycle_perm(n, (0, 1))]
     if n > 2:
         gens.append(_cycle_perm(n, tuple(range(n))))
-    return enumerate_group(n, gens)
+    return n, gens
 
 
-def alternating(n: int) -> PermGroup:
+@_enumerated
+def alternating(n: int):
     if not 2 <= n <= 9:
         raise SpecSemanticError("A n is supported for 2 <= n <= 9")
     if n == 2:
-        return enumerate_group(2, [])
+        return 2, []
     if n == 3:
-        return enumerate_group(3, [_cycle_perm(3, (0, 1, 2))])
+        return 3, [_cycle_perm(3, (0, 1, 2))]
     if n % 2:
         long = _cycle_perm(n, tuple(range(n)))
     else:
         long = _cycle_perm(n, tuple(range(1, n)))
-    return enumerate_group(n, [long, _cycle_perm(n, (0, 1, 2))])
+    return n, [long, _cycle_perm(n, (0, 1, 2))]
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -129,7 +146,8 @@ def _mat2_apply(mat, vec):
     return (a * u + b * v, c * u + d * v)
 
 
-def psl2(q: int) -> PermGroup:
+@_enumerated
+def psl2(q: int):
     """Image of SL(2,q) acting on the projective line (q + 1 points)."""
     if not 4 <= q <= 32:
         raise SpecSemanticError("PSL(2,q) is supported for 4 <= q <= 32")
@@ -147,10 +165,11 @@ def psl2(q: int) -> PermGroup:
     perms = []
     for mat in _sl2_generators(F):
         perms.append(Permutation([index[normalize(_mat2_apply(mat, pt))] for pt in points]))
-    return enumerate_group(len(points), perms)
+    return len(points), perms
 
 
-def sl2(q: int) -> PermGroup:
+@_enumerated
+def sl2(q: int):
     """SL(2,q) acting faithfully on the q^2 - 1 nonzero vectors."""
     if not 4 <= q <= 32:
         raise SpecSemanticError("SL(2,q) is supported for 4 <= q <= 32")
@@ -162,7 +181,7 @@ def sl2(q: int) -> PermGroup:
     perms = []
     for mat in _sl2_generators(F):
         perms.append(Permutation([index[_mat2_apply(mat, pt)] for pt in points]))
-    return enumerate_group(len(points), perms)
+    return len(points), perms
 
 
 # -- the Suzuki group -------------------------------------------------------
@@ -187,7 +206,8 @@ def _mat4_mul_vec(mat, vec):
                  for row in mat)
 
 
-def sz(q: int) -> PermGroup:
+@_enumerated
+def sz(q: int):
     if q != 8:
         # q = 2^(2t+1), t >= 1; only q = 8 is inside the element cap
         f = factorize(q) if q > 1 else {}
@@ -245,24 +265,26 @@ def sz(q: int) -> PermGroup:
             f"Suzuki ovoid orbit has {len(points)} points, expected {q * q + 1}")
     perms = [Permutation([index[normalize(_mat4_mul_vec(mat, pt))] for pt in points])
              for mat in gens]
-    return enumerate_group(len(points), perms)
+    return len(points), perms
 
 
 def product(groups: list[PermGroup]) -> PermGroup:
     """Direct product acting on the disjoint union of the factors' points."""
-    if math.prod(g.order for g in groups) > DEFAULT_CAP:
-        raise GroupTooLargeError(DEFAULT_CAP)
-    degree = sum(g.degree for g in groups)
+    return enumerate_group(*_product_generators([(g.degree, g.generators) for g in groups]))
+
+
+def _product_generators(factors):
+    degree = sum(d for d, _ in factors)
     gens = []
     offset = 0
-    for g in groups:
-        for gen in g.generators:
+    for d, factor_gens in factors:
+        for gen in factor_gens:
             images = list(range(degree))
             for i, j in enumerate(gen.images):
                 images[offset + i] = offset + j
             gens.append(Permutation(images))
-        offset += g.degree
-    return enumerate_group(degree, gens)
+        offset += d
+    return degree, gens
 
 
 # -- group specs and the parser ---------------------------------------------
@@ -370,19 +392,22 @@ _BUILDERS = {
     "S": symmetric,
     "Sz": sz,
     "Frob": frobenius,
+    "PSL": psl2,
+    "SL": sl2,
 }
+
+
+def _generators(spec: GroupSpec):
+    if spec.kind == "Product":
+        return _product_generators([_generators(f) for f in spec.factors])
+    if spec.kind in ("PSL", "SL"):
+        return _BUILDERS[spec.kind].generators(spec.args[1])
+    return _BUILDERS[spec.kind].generators(*spec.args)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_cached(canonical: str) -> PermGroup:
-    spec = parse_spec(canonical)
-    if spec.kind == "Product":
-        return product([_build_cached(str(f)) for f in spec.factors])
-    if spec.kind == "PSL":
-        return psl2(spec.args[1])
-    if spec.kind == "SL":
-        return sl2(spec.args[1])
-    return _BUILDERS[spec.kind](*spec.args)
+    return enumerate_group(*_generators(parse_spec(canonical)))
 
 
 def build(spec) -> PermGroup:

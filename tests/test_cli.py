@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
+from charfield import cli
+from charfield.chartab import dixon_table
 from charfield.cli import main
 
 
@@ -111,3 +114,24 @@ def test_removed_flags_are_parse_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
+
+
+def test_fov_of_a_compositum_field(capsys):
+    code, out, _ = run(capsys, "fov", "D16xC4")
+    assert code == 0
+    assert "Q(8|1)           degree 4  rows 4" in out
+
+
+def test_unclosed_rows_are_a_computation_error(capsys, monkeypatch):
+    # A5 with one 3-dimensional row replaced by a copy of the other
+    def duplicated_row(group, classes):
+        t = dixon_table(group, classes)
+        i, j = [r for r, d in enumerate(t.degrees) if d == 3]
+        values, counts = list(t.values), list(t.root_counts)
+        values[j], counts[j] = values[i], counts[i]
+        return dataclasses.replace(t, values=tuple(values), root_counts=tuple(counts))
+
+    monkeypatch.setattr(cli, "dixon_table", duplicated_row)
+    code, _, err = run(capsys, "fov", "A5")
+    assert code == 4
+    assert err.startswith("computation error:") and "Galois" in err

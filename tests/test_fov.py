@@ -2,7 +2,9 @@ from collections import Counter
 
 import pytest
 
+from charfield.arith import euler_phi, units
 from charfield.chartab import dixon_table
+from charfield.cyclo import degree_over_Q, galois
 from charfield.fov import (
     RATIONAL_FIELD,
     FieldLabel,
@@ -170,3 +172,27 @@ def test_k_ge_log2log2_matches_literal_tower(k):
     near_powers = {2**j + d for j in range(1, 70) for d in (-1, 0, 1)}
     for n in sorted(set(range(1, 300)) | near_powers):
         assert k_ge_log2log2(n, k) == (2 ** (2**k) >= n), (n, k)
+
+
+def test_compositum_field_is_larger_than_every_value():
+    # chi = psi x lambda on D16 x C4: psi takes 0, +-2, +-sqrt2 and lambda
+    # takes i, so Q(chi) = Q(zeta_8) has degree 4 though no value does
+    t = dixon_table(build("D16xC4"))
+    rows = [r for r in range(t.k) if field_of_values(t, r) == FieldLabel(8, (1,), 4)]
+    assert rows
+    for r in rows:
+        assert max(degree_over_Q(v) for v in t.values[r]) == 2
+
+
+@pytest.mark.parametrize("spec", ["D16xC4", "A4xC4", "D16xC3", "S3xC4"])
+def test_stabilizer_against_every_unit(spec):
+    # oracle: the units k mod the conductor with sigma_k fixing every value
+    t = dixon_table(build(spec))
+    for r, row in enumerate(t.values):
+        label = field_of_values(t, r)
+        if label.conductor == 1:
+            continue
+        want = tuple(k for k in units(label.conductor)
+                     if all(galois(v, k) == v for v in row))
+        assert label.stabilizer == want
+        assert label.degree == euler_phi(label.conductor) // len(want)

@@ -5,7 +5,8 @@ and whose run time is capped at 60 s, so a regression fails the test
 instead of exhausting the machine's memory.  f_value compares k with
 log2 log2 |G|; written literally, 2**(2**k) has 2**k bits (8 GiB at
 k = 36).  Group construction must stop at the element cap (10**6) and at
-q = 32 for PSL(2,q) and SL(2,q) with exit code 3.
+q = 32 for PSL(2,q) and SL(2,q) with exit code 3, and the largest
+groups inside them, PSL(2,32) and SL(2,32), must build their tables.
 """
 
 import json
@@ -61,6 +62,7 @@ def test_fov_at_many_classes(spec, k):
     ("SL(2,37)", 3, "4 <= q <= 32"),
     ("PSL(2,37)", 3, "4 <= q <= 32"),
     ("PSL(2,32)", 0, ""),
+    ("SL(2,32)", 0, ""),
 ])
 def test_table_at_the_caps(spec, code, message):
     done = run_capped(CLI_CHILD, "table", spec, "--format", "json")

@@ -1,8 +1,11 @@
+import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
 
+from charfield import perm
 from charfield.perm import (
     GroupTooLargeError,
     Permutation,
@@ -14,8 +17,10 @@ from charfield.perm import (
     group_to_json,
     power_map,
     quotient_group,
+    schreier_sims,
 )
 from charfield.zoo import build
+from test_base_keys import two_level_group
 
 
 def cycle(degree, *cycles):
@@ -226,3 +231,108 @@ def test_json_roundtrip():
 def test_inverse_ids():
     for i in range(S4.order):
         assert S4.mul(i, S4.inverse_id(i)) == 0
+
+
+def full_row_closure(degree, gens):
+    """Oracle: the breadth-first closure deduplicated by whole rows."""
+    ident = np.arange(degree, dtype=np.int32)
+    rows, seen, frontier = [ident], {ident.tobytes()}, [ident]
+    gmat = [np.array(g.images, dtype=np.int32) for g in gens]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gmat:
+                row = x[g]
+                if row.tobytes() not in seen:
+                    seen.add(row.tobytes())
+                    rows.append(row)
+                    nxt.append(row)
+        frontier = nxt
+    return np.array(rows, dtype=np.int32)
+
+
+CHAIN_GROUPS = ["S4", "A5", "F21", "D18", "Sz(8)", "PSL(2,19)", "C7xC7", "S3xC4", "C1",
+                "C2^6 on 4096 points"]
+
+
+def chain_group(spec):
+    return two_level_group() if spec.startswith("C2^6") else build(spec)
+
+
+@pytest.mark.parametrize("spec", CHAIN_GROUPS)
+def test_closure_matches_full_row_search(spec):
+    g = chain_group(spec)
+    want = full_row_closure(g.degree, g.generators)
+    assert g.rows.dtype == want.dtype and g.rows.tobytes() == want.tobytes()
+    chain = schreier_sims(g.degree, g.generators)
+    assert chain.base == g.base
+    assert math.prod(len(orbit) for orbit in chain.orbits) == len(want) == g.order
+
+
+@pytest.mark.parametrize("spec", CHAIN_GROUPS)
+def test_chain_against_the_element_table(spec):
+    # oracle: Delta_i is the set of images of b_i under the elements fixing
+    # b_0..b_(i-1), and inv[c] is such an element sending Delta_i[c] to b_i
+    g = chain_group(spec)
+    chain = schreier_sims(g.degree, g.generators)
+    rows = {row.tobytes() for row in g.rows}
+    stab = g.rows
+    for i, (b, orbit, inv) in enumerate(zip(chain.base, chain.orbits, chain.inv_transversals)):
+        assert orbit[0] == b and sorted(orbit.tolist()) == sorted(set(stab[:, b].tolist()))
+        assert np.array_equal(inv[0], np.arange(g.degree))
+        for c, point in enumerate(orbit):
+            assert inv[c][point] == b and inv[c].tobytes() in rows
+            assert all(inv[c][p] == p for p in chain.base[:i])
+        stab = stab[stab[:, b] == b]
+    assert len(stab) == 1  # the base's pointwise stabilizer is trivial
+    keys = chain.keys(g.rows[:, list(chain.base)])
+    assert sorted(keys.tolist()) == list(range(g.order))
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "Sz(8)", "PSL(2,19)"])
+def test_chain_missing_a_strong_generator_is_rejected(spec, monkeypatch):
+    g = build(spec)
+    add, calls = perm._Level.add, []
+
+    def add_all_but_the_second(level, s, s_inv):
+        calls.append(s)
+        if len(calls) != 2:
+            add(level, s, s_inv)
+
+    monkeypatch.setattr(perm._Level, "add", add_all_but_the_second)
+    with pytest.raises(ArithmeticError):
+        enumerate_group(g.degree, g.generators)
+
+
+@pytest.mark.parametrize("change,message", [
+    ("drop a point", "outside its basic orbit"),
+    ("add a point", "the closure has 60 elements, the chain's order is 80"),
+])
+def test_chain_with_a_wrong_orbit_is_rejected(change, message, monkeypatch):
+    # a missing point puts some base image outside the orbit; an extra one
+    # makes the order larger than the closure
+    g = build("A5")
+    sims = perm.schreier_sims
+
+    def wrong_orbit(*args):
+        chain = sims(*args)
+        orbit, inv = chain.orbits[-1], chain.inv_transversals[-1]
+        if change == "drop a point":
+            orbit, inv = orbit[:-1], inv[:-1]
+        else:
+            outside = min(set(range(g.degree)) - set(orbit.tolist()))
+            orbit, inv = np.append(orbit, outside), np.vstack([inv, inv[:1]])
+        return dataclasses.replace(chain, orbits=(*chain.orbits[:-1], orbit),
+                                   inv_transversals=(*chain.inv_transversals[:-1], inv))
+
+    monkeypatch.setattr(perm, "schreier_sims", wrong_orbit)
+    with pytest.raises(ArithmeticError, match=message):
+        enumerate_group(g.degree, g.generators)
+
+
+def test_chain_stops_at_the_cap():
+    # S9 x C3 has 1,088,640 elements, past the default cap of 10**6
+    gens = [cycle(12, (0, 1)), cycle(12, tuple(range(9))), cycle(12, (9, 10, 11))]
+    with pytest.raises(GroupTooLargeError, match="exceeded the cap of 1000000 elements"):
+        schreier_sims(12, gens)
+    assert schreier_sims(12, gens, cap=1088640).order == 1088640

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from charfield import zoo
+from charfield import perm
 from charfield.perm import (
     GroupTooLargeError,
     conjugacy_classes,
@@ -181,13 +181,13 @@ def test_degree_multiset_match_needs_table():
 def test_product_checks_the_cap_before_enumerating(monkeypatch):
     # |S8 x C25| = 40320 * 25 = 1,008,000 exceeds the cap of 10**6
     factors = [build("S8"), build("C25")]
-    degrees = []
+    orders = []
 
-    def enumerate_refused(degree, generators, *args, **kwargs):
-        degrees.append(degree)
-        raise AssertionError(f"enumerated the product on {degree} points")
+    def closure_refused(chain, gens):
+        orders.append(chain.order)
+        raise AssertionError(f"enumerated {chain.order} elements")
 
-    monkeypatch.setattr(zoo, "enumerate_group", enumerate_refused)
+    monkeypatch.setattr(perm, "_closure_rows", closure_refused)
     with pytest.raises(GroupTooLargeError, match="closure exceeded the cap of 1000000 elements"):
         product(factors)
-    assert degrees == []
+    assert orders == []
