@@ -7,28 +7,32 @@ matrices until one-dimensional; normalize each eigenvector at the identity
 class and recover the degree by the unique integer square root below
 sqrt(|G|) < p/2; lift each modular value back to an exact sum of roots of
 unity by counting eigenvalue multiplicities with a discrete Fourier sum
-over GF(p).
+over GF(p), one numpy product per class (modp.evaluate).
 
 Rows are sorted by (degree, lexicographic value order), so the exact table
 is independent of the prime and of any scheduling.
+
+validate_table goes the other way through modp.evaluate: orthogonality is
+certified by the exact values' images mod a few primes (_orthogonality).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import modp
-from .arith import element_of_order, is_prime, next_prime_in_progression, prime_factors, units
-from .cyclo import Cyclo, conjugate, cyclo_from_root_counts, galois
+from .arith import element_of_order, is_prime, next_prime_in_progression, units
+from .cyclo import Cyclo, cyclo_from_root_counts, galois
 from .perm import ClassData, PermGroup, conjugacy_classes
 
 MAX_CLASSES = 64
 PRIME_SEARCH_LIMIT = 10**8
+CERTIFICATE_PRIME_START = 1 << 20
 
 
 class ComputationError(RuntimeError):
@@ -170,6 +174,13 @@ def _split_eigenspaces(mats: list[np.ndarray], p: int, r: int) -> list[list[int]
     return [s[:, 0].tolist() for s in spaces]
 
 
+@functools.lru_cache(maxsize=4096)
+def _lift(counts: tuple[int, ...]) -> Cyclo:
+    """The value sum_d counts[d] * zeta_o^d, o = len(counts); values recur
+    across rows and tables, so they are built once."""
+    return cyclo_from_root_counts(len(counts), counts)
+
+
 def dixon_table(group: PermGroup, classes: ClassData | None = None,
                 prime: int | None = None) -> CharacterTable:
     """The full exact character table."""
@@ -184,7 +195,7 @@ def dixon_table(group: PermGroup, classes: ClassData | None = None,
         p = admissible_prime(n, e)
     else:
         p = prime
-        if (p - 1) % e or p * p <= 4 * n or not is_prime(p):
+        if (p - 1) % e or p * p <= 4 * n or p > PRIME_SEARCH_LIMIT or not is_prime(p):
             raise ComputationError(f"{p} is not an admissible prime for this group")
     coeffs = class_multiplication_coefficients(group, classes)
     mats = [coeffs[i] % p for i in range(1, r)]
@@ -199,7 +210,7 @@ def dixon_table(group: PermGroup, classes: ClassData | None = None,
         raise ComputationError(str(exc)) from None
     isqrt_n = math.isqrt(n)
 
-    rows = []
+    degrees, chi = [], []
     for v in vectors:
         if v[0] == 0:  # pragma: no cover - identity coordinate of omega is 1
             raise ComputationError("eigenvector vanishes at the identity class")
@@ -209,42 +220,32 @@ def dixon_table(group: PermGroup, classes: ClassData | None = None,
         deg = next((d for d in range(1, isqrt_n + 1) if d * d % p == target), None)
         if deg is None:  # pragma: no cover
             raise ComputationError("no integer degree matches the eigenvalue vector")
-        chi_p = [deg * w[i] * size_inv[i] % p for i in range(r)]
-        values, counts = [], []
-        for j in range(r):
-            o = classes.element_orders[j]
-            theta_o = pow(theta, e // o, p)
-            theta_o_inv = pow(theta_o, -1, p)
-            o_inv = pow(o, -1, p)
-            pm = [classes.power_map(j, t) for t in range(o)]
-            m = []
-            for d in range(o):
-                td = pow(theta_o_inv, d, p)
-                acc, f = 0, 1
-                for t in range(o):
-                    acc = (acc + chi_p[pm[t]] * f) % p
-                    f = f * td % p
-                m.append(acc * o_inv % p)
-            if sum(m) != deg:  # pragma: no cover - certifies the lift
-                raise ComputationError("root-of-unity multiplicities do not sum to the degree")
-            counts.append(tuple(m))
-            values.append(cyclo_from_root_counts(o, m))
-        rows.append((deg, tuple(values), tuple(counts)))
+        degrees.append(deg)
+        chi.append([deg * w[i] * size_inv[i] % p for i in range(r)])
+    # per class j of order o, the lift of every row at once: the inverse DFT
+    # m_d = (1/o) sum_t chi(g^t) theta_o^(-dt) of the values along the powers
+    chi_p = np.array(chi, dtype=np.int64)
+    counts = [modp.evaluate(chi_p[:, list(classes.powers[j])], pow(theta, e - e // o, p), o,
+                            range(o), p, scale=pow(o, -1, p)).tolist()
+              for j, o in enumerate(classes.element_orders)]
+    rows = []
+    for i, deg in enumerate(degrees):
+        row_counts = tuple(tuple(counts[j][i]) for j in range(r))
+        if any(sum(m) != deg for m in row_counts):  # pragma: no cover - certifies the lift
+            raise ComputationError("root-of-unity multiplicities do not sum to the degree")
+        rows.append((deg, tuple(_lift(m) for m in row_counts), row_counts))
 
-    rows.sort(key=lambda row: (row[0], tuple(v.sort_key() for v in row[1])))
-    table = CharacterTable(
-        group=group,
-        classes=classes,
-        exponent=e,
-        degrees=tuple(row[0] for row in rows),
-        values=tuple(row[1] for row in rows),
-        prime=p,
-        root_counts=tuple(row[2] for row in rows),
-    )
+    table = _sorted_table(group, classes, e, p, rows)
     if sum(d * d for d in table.degrees) != n:  # pragma: no cover
         raise ComputationError("degree squares do not sum to the group order")
     return table
 
+
+def _sorted_table(group: PermGroup, classes: ClassData, e: int, p: int, rows) -> CharacterTable:
+    """The table of rows (degree, values, root counts), sorted canonically."""
+    rows = sorted(rows, key=lambda row: (row[0], tuple(v.sort_key() for v in row[1])))
+    degrees, values, counts = zip(*rows)
+    return CharacterTable(group, classes, e, degrees, values, p, counts)
 
 
 def is_abelian(group: PermGroup) -> bool:
@@ -308,10 +309,8 @@ def abelian_character_table(group: PermGroup,
 
     e = exponent(classes)
     rows = []
-    import itertools
-
     for char_vec in itertools.product(*(range(o) for o in basis_orders)):
-        values, counts = [], []
+        counts = []
         for j in range(classes.k):
             a = coords[classes.reps[j]]
             o = classes.element_orders[j]
@@ -319,21 +318,9 @@ def abelian_character_table(group: PermGroup,
             # the value zeta_e^expo lies in Q_o; re-express it there
             expo_o = expo * o // e
             assert expo_o * (e // o) == expo, "value escapes Q_o(g)"
-            m = [0] * o
-            m[expo_o] = 1
-            counts.append(tuple(m))
-            values.append(cyclo_from_root_counts(o, m))
-        rows.append((1, tuple(values), tuple(counts)))
-    rows.sort(key=lambda row: (row[0], tuple(v.sort_key() for v in row[1])))
-    return CharacterTable(
-        group=group,
-        classes=classes,
-        exponent=e,
-        degrees=tuple(r[0] for r in rows),
-        values=tuple(r[1] for r in rows),
-        prime=0,
-        root_counts=tuple(r[2] for r in rows),
-    )
+            counts.append(tuple(int(d == expo_o) for d in range(o)))
+        rows.append((1, tuple(_lift(m) for m in counts), tuple(counts)))
+    return _sorted_table(group, classes, e, 0, rows)
 
 
 # -- validation --------------------------------------------------------------
@@ -354,107 +341,115 @@ class TableValidation:
         return not self.failures
 
 
-def _component_sum_is(terms: list[Cyclo], expected: Fraction) -> bool:
-    """Exact test: sum(terms) == expected, bucketing by coprime conductor parts.
+_FAILURES = (
+    "degree squares do not sum to the group order",
+    "row orthogonality fails",
+    "column orthogonality fails",
+    "first column does not list positive integer degrees",
+    "row set is not closed under the Galois action",
+    "values are not certified algebraic integers",
+)
 
-    A sum of values from cyclotomic fields with pairwise coprime conductors
-    is rational iff every bucket sum is rational (Q_a ∩ Q_b = Q_gcd(a,b)),
-    which keeps all arithmetic at small conductors.
+
+def _certificate_primes(modulus: int, bound: int) -> list[int]:
+    """Primes p ≡ 1 (mod modulus) from 2^20 on, until their product passes
+    bound; below 2^31, so a product of two residues fits int64."""
+    primes = [CERTIFICATE_PRIME_START]
+    while math.prod(primes[1:]) <= bound:
+        primes.append(next_prime_in_progression(modulus, primes[-1], limit=1 << 31))
+    return primes[1:]
+
+
+def _orthogonality(table: CharacterTable, one_embedding: bool) -> tuple[bool, bool]:
+    """Row and column orthogonality, decided exactly by congruences.
+
+    Each entry, sum_d c_d zeta_n^d in its power basis (E the lcm of the n),
+    is evaluated at theta and theta^-1, theta of order E mod primes
+    p ≡ 1 (mod E), into X and Xbar (conjugation is sigma_-1).  The checks
+    X diag(|C_s|) Xbar^T ≡ n I and Xbar^T X ≡ diag(n/|C_s|) are the images
+    of beta_ij = sum_s |C_s| chi_i(s) conj(chi_j(s)) - n delta_ij and
+    gamma_st = sum_i conj(chi_i(s)) chi_i(t) - delta_st n/|C_s|.
+
+    one_embedding (Galois-closed, certified integral, distinct rows):
+    1. chi_i(s) = sum_d m_d zeta_o^d, m_d >= 0, sum m_d = d_i, so every
+       conjugate has |sigma(chi_i(s))| <= d_i.
+    2. sigma_k permutes the rows (pi_k, injective on distinct rows) and
+       commutes with conjugation: sigma_k(beta_ij) = beta_{pi_k i, pi_k j}
+       and sigma_k(gamma_st) = gamma_st, so gamma_st is in Z.
+    3. All beta_ij ≡ 0 at theta gives beta_ij ≡ 0 at every theta^k, so
+       beta_ij lies in every prime above p; p ≡ 1 (mod E) splits
+       completely, unramified, so beta_ij is in pZ[zeta_E], and in
+       PZ[zeta_E] for P the product of the primes.
+    4. |sigma(beta_ij)| <= B = n max(d)^2 + n.  A nonzero beta in PZ[zeta_E]
+       has P^phi(E) <= |N(beta)| <= B^phi(E), so P > B forces beta = 0;
+       likewise for gamma_st, with |gamma_st| <= sum d_i^2 + n.
+
+    Otherwise the table fails validation anyway; the values, cleared of
+    their common denominator D, are checked at every embedding theta^k (k a
+    unit mod E), so step 3 needs no Galois action, and step 4 holds for
+    D^2 beta and D^2 gamma with an entry bounded by its sum of |coefficients|.
+    A column target D^2 n/|C_s| outside Z cannot be met.  The bounds are
+    max_i sum_s |C_s| L_is^2 and max_s sum_i L_is^2 (Cauchy-Schwarz), plus
+    the target.
     """
-    # union-find over the primes of each conductor
-    parent: dict[int, int] = {}
+    classes, values = table.classes, table.values
+    n, r, sizes = table.group.order, classes.k, classes.sizes
+    clear = math.lcm(*(v.den for i in range(r) for v in values[i]))
+    entries = [[(v.n, tuple(c * (clear // v.den) for c in v.coeffs)) for v in values[i]]
+               for i in range(r)]
+    bounds = ([[d] * r for d in table.degrees] if one_embedding else
+              [[sum(map(abs, vec)) for _, vec in row] for row in entries])
+    scaled_n = clear * clear * n
+    col_ok = all(scaled_n % z == 0 for z in sizes)
+    row_ok = True
+    bound = scaled_n + max(max(sum(z * b * b for z, b in zip(sizes, row)) for row in bounds),
+                           max(sum(row[s] ** 2 for row in bounds) for s in range(r)))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for t in terms:
-        ps = prime_factors(t.n)
-        for q in ps:
-            parent.setdefault(q, q)
-        for a, b in zip(ps, ps[1:]):
-            union(a, b)
-    buckets: dict[int, Cyclo] = {}
-    rational = Fraction(0)
-    for t in terms:
-        if t.n == 1:
-            rational += t.rational_value()
-            continue
-        root = find(prime_factors(t.n)[0])
-        buckets[root] = buckets.get(root, Cyclo.from_rational(0)) + t
-    for part in buckets.values():
-        if not part.is_rational():
-            return False
-        rational += part.rational_value()
-    return rational == expected
+    # one evaluation per distinct vector: cells[o][vec] lists its positions
+    cells: dict[int, dict[tuple[int, ...], list[tuple[int, int]]]] = {}
+    for i, row in enumerate(entries):
+        for s, (o, vec) in enumerate(row):
+            cells.setdefault(o, {}).setdefault(vec, []).append((i, s))
+    E = math.lcm(*cells)
+    ks = sorted({1 % E, -1 % E} if one_embedding else {k % E for k in units(E)})
+    position = {k: a for a, k in enumerate(ks)}
+    conj = [position[-k % E] for k in ks]
+    for p in _certificate_primes(E, bound):
+        theta = element_of_order(E, p)
+        X = np.empty((len(ks), r, r), dtype=np.int64)
+        for o, where in cells.items():
+            vecs = np.array(list(where)) % p  # int64, or Python ints past int64
+            at = modp.evaluate(vecs.astype(np.int64), pow(theta, E // o, p), o, ks, p)
+            for u, places in enumerate(where.values()):
+                X[:, [i for i, _ in places], [s for _, s in places]] = at[u][:, None]
+        Xbar_t = X[conj].transpose(0, 2, 1)
+        gram = modp.dot(X * np.array([z % p for z in sizes]) % p, Xbar_t, p)
+        row_ok = row_ok and bool(np.all(gram == np.eye(r, dtype=np.int64) * (scaled_n % p)))
+        cols = np.diag([scaled_n // z % p for z in sizes])
+        col_ok = col_ok and bool(np.all(modp.dot(Xbar_t, X, p) == cols))
+    return row_ok, col_ok
 
 
 def validate_table(table: CharacterTable) -> TableValidation:
-    """All six exactness checks; every downstream claim leans on these."""
-    failures: list[str] = []
-    classes = table.classes
-    n = table.group.order
-    r = classes.k
-    values = table.values
+    """All six exactness checks; every downstream claim leans on these.
 
+    Orthogonality is decided by a modular certificate (_orthogonality), at
+    one embedding per prime when the Galois closure and integrality checks
+    pass and the rows are distinct, else at every embedding.
+    """
+    classes, values = table.classes, table.values
+    n, r = table.group.order, classes.k
     degree_sum = sum(d * d for d in table.degrees) == n and len(values) == r
-    if not degree_sum:
-        failures.append("degree squares do not sum to the group order")
-
-    row_orth = True
-    for i in range(r):
-        for j in range(i, r):
-            terms = [classes.sizes[t] * values[i][t] * conjugate(values[j][t])
-                     for t in range(r)]
-            want = Fraction(n if i == j else 0)
-            if not _component_sum_is(terms, want):
-                row_orth = False
-    if not row_orth:
-        failures.append("row orthogonality fails")
-
-    col_orth = True
-    for s in range(r):
-        for t in range(s, r):
-            terms = [values[i][s] * conjugate(values[i][t]) for i in range(r)]
-            want = Fraction(n, classes.sizes[s]) if s == t else Fraction(0)
-            if not _component_sum_is(terms, want):
-                col_orth = False
-    if not col_orth:
-        failures.append("column orthogonality fails")
-
     first_col = all(values[i][0] == table.degrees[i] and table.degrees[i] >= 1
                     for i in range(len(values)))
-    if not first_col:
-        failures.append("first column does not list positive integer degrees")
-
     closure = table.galois_action is not None
-    if not closure:
-        failures.append("row set is not closed under the Galois action")
-
     integral = all(v.is_integral() and table.exponent % v.n == 0
                    for row in values for v in row)
     if table.root_counts:
         for row, crow, deg in zip(values, table.root_counts, table.degrees):
             for v, m, o in zip(row, crow, classes.element_orders):
-                if len(m) != o or any(x < 0 or x > deg for x in m) or \
-                        cyclo_from_root_counts(o, m) != v:
+                if len(m) != o or min(m) < 0 or sum(m) != deg or _lift(tuple(m)) != v:
                     integral = False
-    if not integral:
-        failures.append("values are not certified algebraic integers")
-
-    return TableValidation(
-        degree_sum=degree_sum,
-        row_orthogonality=row_orth,
-        column_orthogonality=col_orth,
-        first_column=first_col,
-        galois_closure=closure,
-        integrality=integral,
-        failures=failures,
-    )
+    one_embedding = closure and integral and bool(table.root_counts) and len(set(values)) == r
+    flags = (degree_sum, *_orthogonality(table, one_embedding), first_col, closure, integral)
+    return TableValidation(*flags, failures=[why for ok, why in zip(flags, _FAILURES) if not ok])

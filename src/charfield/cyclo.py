@@ -33,6 +33,9 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
+from . import modp
 from .arith import element_of_order, euler_phi, next_prime_in_progression, prime_factors, units
 
 
@@ -252,7 +255,13 @@ class Cyclo:
         return self._hash
 
     def sort_key(self):
-        """Total order used for deterministic row ordering."""
+        """Total order used for deterministic row ordering.
+
+        Ints and Fractions compare exactly, so the plain coefficients of an
+        integral value (den == 1) order as their Fractions would.
+        """
+        if self.den == 1:
+            return (self.n, self.coeffs)
         return (self.n, tuple(Fraction(c, self.den) for c in self.coeffs))
 
     # -- presentation -------------------------------------------------
@@ -370,19 +379,18 @@ def conjugate(c: Cyclo) -> Cyclo:
 #
 # The degree is phi(n)/|S| with S = {k coprime to n : sigma_k(c) = c}.
 # Scanning all units with exact vectors is O(phi(n)^3); instead candidates
-# are filtered by evaluating at a fixed element theta of order n in a large
-# prime field (a ring homomorphism, so true stabilizer elements always
-# survive), then only the few candidates are confirmed exactly.
+# are filtered by evaluating at every theta^k, theta of order n in GF(p),
+# in one modp.evaluate pass (sigma_k followed by zeta -> theta is
+# zeta -> theta^k, a ring map, so true stabilizer elements always survive),
+# then only the few candidates are confirmed exactly.
 
 
 @functools.lru_cache(maxsize=None)
-def _eval_point(n: int) -> tuple[int, tuple[int, ...]]:
-    p = next_prime_in_progression(n, 2**31, limit=2**62)
-    theta = element_of_order(n, p)
-    powers = [1] * n
-    for i in range(1, n):
-        powers[i] = powers[i - 1] * theta % p
-    return p, tuple(powers)
+def _eval_point(n: int) -> tuple[int, int]:
+    # a prime from 2^20 on keeps modp.evaluate's sums in int64 for conductors
+    # into the thousands (phi(n) * p^2 < 2^63); past that they are Python ints
+    p = next_prime_in_progression(n, 1 << 20, limit=1 << 62)
+    return p, element_of_order(n, p)
 
 
 def degree_over_Q(c: Cyclo) -> int:
@@ -391,13 +399,11 @@ def degree_over_Q(c: Cyclo) -> int:
     if n == 1:
         return 1
     # a rational scale does not change the stabilizer, so den plays no part
-    p, powers = _eval_point(n)
-    support = [(i, v % p) for i, v in enumerate(c.coeffs) if v]
-    imgs = {}
-    for k in units(n):
-        imgs[k] = sum(v * powers[i * k % n] for i, v in support) % p
-    target = imgs[1]
-    stab = [k for k in units(n) if imgs[k] == target and galois(c, k) == c]
+    p, theta = _eval_point(n)
+    ks = units(n)
+    coeffs = np.array([[x % p for x in c.coeffs]], dtype=np.int64)
+    imgs = modp.evaluate(coeffs, theta, n, ks, p)[0]
+    stab = [k for k, img in zip(ks, imgs) if img == imgs[0] and galois(c, k) == c]
     phi = euler_phi(n)
     if phi % len(stab):  # pragma: no cover - stabilizer is a subgroup
         raise ArithmeticError("stabilizer size does not divide phi(n)")

@@ -1,12 +1,51 @@
 """Deterministic linear algebra and polynomial root finding over GF(p).
 
-Matrices are lists of lists of ints reduced mod p (numpy is used by the
-caller for bulk products; the pivoting here is pure Python so the choice
-of pivots is fixed).  Polynomials are coefficient lists, lowest degree
-first, normalized monic where stated.
+Matrices are lists of lists of ints reduced mod p (the pivoting here is
+pure Python so the choice of pivots is fixed).  Polynomials are coefficient
+lists, lowest degree first, normalized monic where stated.  Bulk products
+go through dot and evaluate, on int64 arrays.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+
+def dot(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """(A @ B) mod p for int64 arrays with entries in [0, p), stacks too.
+
+    Each entry of A @ B is a sum of k products below p^2, so int64 holds it
+    exactly while k * (p - 1)^2 < 2^63; past that bound Python ints do.
+    """
+    if A.shape[-1] * (p - 1) ** 2 < 2**63:
+        return A @ B % p
+    return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
+
+
+def evaluate(coeffs: np.ndarray, theta: int, order: int, ks, p: int,
+             scale: int = 1) -> np.ndarray:
+    """out[i, a] = scale * sum_d coeffs[i, d] * theta^(d * ks[a]) mod p.
+
+    coeffs is a (rows x L) int64 array reduced mod p, L <= order, and theta
+    has order `order` mod p.  Column a is then the image of the row's
+    sum_d coeffs[d] * zeta^d, zeta a primitive order-th root of unity, under
+    the ring map Z[zeta] -> GF(p), zeta -> theta^ks[a]; for a unit ks[a]
+    that is the embedding through sigma_ks[a].  With theta^-1, ks = 0..o-1
+    and scale = 1/o it is the inverse discrete Fourier transform, which
+    turns the values chi(g^t), t < o, into the multiplicities of the o-th
+    roots of unity in chi(g).  Columns are taken in blocks so that the
+    L x |ks| power matrix stays small.
+    """
+    powers = np.empty(order, dtype=np.int64)
+    x = scale % p
+    for d in range(order):
+        powers[d] = x
+        x = x * theta % p
+    ks = np.asarray(ks, dtype=np.int64) % order
+    ds = np.arange(coeffs.shape[1], dtype=np.int64)
+    step = max(1, (1 << 22) // max(1, len(ds)))
+    return np.hstack([dot(coeffs, powers[np.outer(ds, ks[a:a + step]) % order], p)
+                      for a in range(0, len(ks), step)])
 
 
 def mat_mul(A, B, p):

@@ -14,7 +14,9 @@ elements.  Afterwards ids are found from base images packed into int64
 keys; see PermGroup.
 
 The element cap (default 10**6) keeps accidental monsters out; the largest
-built-in group, S9, has 362880 elements.
+built-in group, S9, has 362880 elements.  TABLE_BYTES_LIMIT does the same
+for wide groups, whose table |G| * degree * 4 bytes passes the memory of a
+small machine well inside the element cap.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_CAP = 10**6
+# the element table takes |G| * degree * 4 bytes; SL(2,32) needs 134 MB
+TABLE_BYTES_LIMIT = 1 << 28
 
 
 class GroupTooLargeError(ValueError):
-    def __init__(self, cap: int):
-        super().__init__(f"group too large: closure exceeded the cap of {cap} elements")
+    """A group past the element cap or past TABLE_BYTES_LIMIT."""
 
 
 class Permutation:
@@ -167,7 +170,8 @@ class StabilizerChain:
 class _Level:
     """One level of a stabilizer chain under construction."""
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, degree: int, check_size):
+        self.check_size = check_size   # check_size(level, m) before storing point m
         self.ident = np.arange(degree, dtype=np.int32)
         self.point = point
         self.gens: list[tuple[np.ndarray, np.ndarray]] = []  # (s, s^-1)
@@ -176,29 +180,41 @@ class _Level:
         self.position = np.full(degree, -1, dtype=np.intp)
         self.position[point] = 0
         self.inv = [self.ident]        # u_c^-1, where u_c sends point to orbit[c]
+        self.tree: set[tuple[int, int]] = set()  # (c, i): generator i found a point from orbit[c]
 
     def add(self, s: np.ndarray, s_inv: np.ndarray) -> None:
-        """Add a generator and close the orbit under all of them."""
+        """Add a generator and close the orbit under all of them.
+
+        check_size runs before each orbit point and its transversal row are
+        stored, so a group too large stops before its rows do.
+        """
         old = len(self.orbit)
         self.gens.append((s, s_inv))
         self.checked.append(0)
+        last = len(self.gens) - 1
         c = 0
         while c < len(self.orbit):
             beta = self.orbit[c]
-            for t, t_inv in self.gens if c >= old else self.gens[-1:]:
-                gamma = int(t[beta])
+            for i in range(0 if c >= old else last, last + 1):
+                gamma = int(self.gens[i][0][beta])
                 if self.position[gamma] < 0:
+                    self.check_size(self, len(self.orbit) + 1)
                     self.position[gamma] = len(self.orbit)
                     self.orbit.append(gamma)
-                    self.inv.append(self.inv[c][t_inv])
+                    self.inv.append(self.inv[c][self.gens[i][1]])
+                    self.tree.add((c, i))
             c += 1
 
     def schreier_generators(self):
-        """Yield u_{s(beta)}^-1 s u_beta for every pair not yet yielded."""
+        """Yield u_{s(beta)}^-1 s u_beta for every pair not yet yielded, except
+        the tree edges: if s first reached s(beta) from beta, then
+        u_{s(beta)} = s u_beta and the generator is the identity."""
         for i, (s, _) in enumerate(self.gens):
             while self.checked[i] < len(self.orbit):
                 c = self.checked[i]
                 self.checked[i] += 1
+                if (c, i) in self.tree:
+                    continue
                 u = np.empty_like(self.ident)
                 u[self.inv[c]] = self.ident
                 yield self.inv[self.position[s[self.orbit[c]]]][s[u]]
@@ -216,6 +232,9 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     the levels j, j-1, ..., lo are closed: each Schreier generator
     u_{s(beta)}^-1 s u_beta (beta in Delta_i, s in S_i), not seen before, is
     inserted from level i+1.  Each generator of G is inserted from level 0.
+    A tree edge, a pair where s first reached s(beta) from beta, is skipped:
+    its transversal element is u_{s(beta)} = s u_beta, so the Schreier
+    generator is the identity and would sift to nothing.
 
     Invariant: S_{i+1} lies in G_i.  A residue r inserted from lo is
     y, in G_{lo-1} (or G, for lo = 0), times transversal elements of G_lo,
@@ -232,12 +251,26 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     a residue in S_0), so G_0 = G = G^(0) and by induction G_i = G^(i).
     Hence |G| = prod |Delta_i| and the base images determine each element.
 
-    Meanwhile |Delta_i| divides [G_i : G_{i+1}], so the orbits found so far
-    bound |G| from below, and GroupTooLargeError is raised as soon as their
-    product passes cap.
+    Meanwhile every orbit found so far, even one still being closed, lies
+    in the final Delta_i, of length [G^(i) : G^(i+1)], so the product of
+    their lengths bounds |G| from below.  It is checked before each new
+    orbit point is stored, and GroupTooLargeError is raised as soon as it
+    passes cap or the element table it implies passes TABLE_BYTES_LIMIT;
+    the inverse transversals, at most prod |Delta_i| + k rows, stay within
+    the same limit.
     """
     ident = np.arange(degree, dtype=np.int32)
     levels: list[_Level] = []
+
+    def check_size(level: _Level, m: int) -> None:
+        # the level's orbit is about to hold m points
+        order = m * math.prod(len(other.orbit) for other in levels if other is not level)
+        if order > cap:
+            raise GroupTooLargeError(f"group too large: closure exceeded the cap of {cap} elements")
+        if order * degree * 4 > TABLE_BYTES_LIMIT:
+            raise GroupTooLargeError(
+                f"group too large: {order} elements on {degree} points exceed the "
+                f"{TABLE_BYTES_LIMIT >> 20} MiB element table limit")
 
     def insert(h: np.ndarray, lo: int) -> None:
         j = lo
@@ -251,13 +284,11 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
             moved = np.flatnonzero(h != ident)
             if not len(moved):
                 return
-            levels.append(_Level(int(moved[0]), degree))
+            levels.append(_Level(int(moved[0]), degree, check_size))
         h_inv = np.empty_like(h)
         h_inv[h] = ident
         for level in levels[lo:j + 1]:
             level.add(h, h_inv)
-        if math.prod(len(level.orbit) for level in levels) > cap:
-            raise GroupTooLargeError(cap)
         for i in range(j, lo - 1, -1):
             for y in levels[i].schreier_generators():
                 insert(y, i + 1)

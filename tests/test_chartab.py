@@ -1,11 +1,13 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from charfield import modp
-from charfield.arith import units
+from charfield.arith import element_of_order, next_prime_in_progression, units
 from charfield.chartab import (
     abelian_character_table,
     admissible_prime,
@@ -139,6 +141,38 @@ def test_pivot_rows_pick_an_independent_spanning_set():
         assert len(set(piv)) == len(piv) and all(0 <= i < rows for i in piv)
         assert len(chosen) == p ** len(piv)  # independent
         assert chosen == _span(B, p, cols)  # spanning, so len(piv) = rank(B)
+
+
+@pytest.mark.parametrize("p", [7681, 2**61 - 1])
+def test_dot_is_exact(p):
+    # 2^61 - 1 takes the Python-int path: 8 * (p - 1)^2 overflows int64
+    rng = random.Random(p)
+    A = [[rng.randrange(p) for _ in range(8)] for _ in range(3)]
+    B = [[rng.randrange(p) for _ in range(4)] for _ in range(8)]
+    got = modp.dot(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
+    assert got.tolist() == [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)]
+                            for row in A]
+
+
+@pytest.mark.parametrize("o,start", [(1, 5), (5, 10), (12, 12), (61, 2**20)])
+def test_evaluate_against_the_loops(o, start):
+    # reference: the lift's former double loop m_d = (1/o) sum_t chi_t theta^(-dt),
+    # and the plain evaluation sum_d c_d theta^(dk)
+    p = next_prime_in_progression(o, start)
+    theta = element_of_order(o, p)
+    rng = random.Random(o)
+    chi = [[rng.randrange(p) for _ in range(o)] for _ in range(3)]
+    o_inv, theta_inv = pow(o, -1, p), pow(theta, -1, p)
+    loop = [[sum(c[t] * pow(theta_inv, d * t, p) for t in range(o)) * o_inv % p
+             for d in range(o)] for c in chi]
+    lifted = modp.evaluate(np.array(chi, dtype=np.int64), theta_inv, o, range(o), p, scale=o_inv)
+    assert lifted.tolist() == loop
+    ks = [k for k in range(o) if math.gcd(k, o) == 1]
+    evaluated = modp.evaluate(np.array(loop, dtype=np.int64), theta, o, ks, p)
+    assert evaluated.tolist() == [[sum(m[d] * pow(theta, d * k, p) for d in range(o)) % p
+                                   for k in ks] for m in loop]
+    # the round trip: evaluating the lifted counts at every power gives chi back
+    assert modp.evaluate(lifted, theta, o, range(o), p).tolist() == chi
 
 
 # -- exponent and class coefficients ----------------------------------------

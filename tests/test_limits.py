@@ -4,9 +4,12 @@ Each case runs in a child process whose address space is capped at 2 GiB
 and whose run time is capped at 60 s, so a regression fails the test
 instead of exhausting the machine's memory.  f_value compares k with
 log2 log2 |G|; written literally, 2**(2**k) has 2**k bits (8 GiB at
-k = 36).  Group construction must stop at the element cap (10**6) and at
-q = 32 for PSL(2,q) and SL(2,q) with exit code 3, and the largest
-groups inside them, PSL(2,32) and SL(2,32), must build their tables.
+k = 36).  Group construction must stop at the element cap (10**6), at the
+element table limit (perm.TABLE_BYTES_LIMIT) and at q = 32 for PSL(2,q)
+and SL(2,q) with exit code 3, and the largest groups inside them,
+PSL(2,32) and SL(2,32), must build their tables.  Frob(181,3) and C61,
+small groups with many classes of large element order, must run the
+whole pipeline, validation included.
 """
 
 import json
@@ -39,6 +42,29 @@ from charfield.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
+PIPELINE_CHILD = CAPPED + """
+import json, sys
+from charfield import build, dixon_table, f_value
+from charfield.chartab import validate_table
+spec = sys.argv[1]
+table = dixon_table(build(spec))
+print(json.dumps({"k": table.k, "failures": validate_table(table).failures,
+                  "f": f_value(table, spec).f}))
+"""
+
+# a JSON group has no spec to name it, so the child maps the error to the
+# CLI's construction exit code itself
+JSON_CHILD = CAPPED + """
+import json, sys
+from charfield.perm import GroupTooLargeError, group_from_json
+n = int(sys.argv[1])
+try:
+    group_from_json(json.dumps({"degree": n, "generators": [[(i + 1) % n for i in range(n)]]}))
+except GroupTooLargeError as exc:
+    print(f"construction error: {exc}", file=sys.stderr)
+    sys.exit(3)
+"""
+
 
 def run_capped(script, *args):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
@@ -61,6 +87,8 @@ def test_fov_at_many_classes(spec, k):
     ("S8xC25", 3, "closure exceeded the cap"),  # 1,008,000 elements
     ("SL(2,37)", 3, "4 <= q <= 32"),
     ("PSL(2,37)", 3, "4 <= q <= 32"),
+    ("C2000000", 3, "element table limit"),  # 2,000,000 elements on 2,000,000 points
+    ("C50000", 3, "element table limit"),  # within the element cap, a 10 GB table
     ("PSL(2,32)", 0, ""),
     ("SL(2,32)", 0, ""),
 ])
@@ -70,3 +98,18 @@ def test_table_at_the_caps(spec, code, message):
     assert message in done.stderr
     if code == 0:
         assert json.loads(done.stdout)["order"] == 32736
+
+
+def test_wide_json_group_stops_at_the_table_limit():
+    # a 20,000-cycle: 20,000 elements, but a 1.6 GB element table
+    done = run_capped(JSON_CHILD, "20000")
+    assert done.returncode == 3, done.stderr
+    assert "element table limit" in done.stderr
+
+
+@pytest.mark.parametrize("spec,k", [("Frob(181,3)", 63), ("C61", 61)])
+def test_pipeline_at_many_classes_of_large_order(spec, k):
+    done = run_capped(PIPELINE_CHILD, spec)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["k"] == k and out["failures"] == [] and out["f"] >= 1

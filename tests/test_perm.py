@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -19,7 +20,7 @@ from charfield.perm import (
     quotient_group,
     schreier_sims,
 )
-from charfield.zoo import build
+from charfield.zoo import build, sl2
 from test_base_keys import two_level_group
 
 
@@ -336,3 +337,41 @@ def test_chain_stops_at_the_cap():
     with pytest.raises(GroupTooLargeError, match="exceeded the cap of 1000000 elements"):
         schreier_sims(12, gens)
     assert schreier_sims(12, gens, cap=1088640).order == 1088640
+
+
+def test_tree_edges_are_not_sifted(monkeypatch):
+    # SL(2,32) has 6,298 Schreier generators, 1,053 of them tree edges, which
+    # are the identity; skipping them leaves the element table unchanged
+    generators, sifted, levels = perm._Level.schreier_generators, [], set()
+
+    def counted(level):
+        levels.add(level)
+        for y in generators(level):
+            sifted.append(1)
+            yield y
+
+    monkeypatch.setattr(perm._Level, "schreier_generators", counted)
+    g = sl2(32)
+    assert len(sifted) == 6298 - 1053
+    assert hashlib.sha256(g.rows.tobytes()).hexdigest() == (
+        "76961ccd815a5e206c77178120666f1fb08263eac97752d5b0381b0b68b6b64c")
+    # oracle: every skipped pair, written out, is the identity
+    skipped = 0
+    for level in levels:
+        for c, i in level.tree:
+            s = level.gens[i][0]
+            u = np.empty_like(level.ident)
+            u[level.inv[c]] = level.ident
+            y = level.inv[level.position[s[level.orbit[c]]]][s[u]]
+            assert np.array_equal(y, level.ident)
+            skipped += 1
+    assert skipped == 1053
+
+
+def test_cap_stops_an_orbit_before_its_rows_are_stored(monkeypatch):
+    # with a 4,096-byte table limit, a 100-cycle (400 bytes per element)
+    # stops at the 11th point of its first orbit, not after the orbit closed
+    monkeypatch.setattr(perm, "TABLE_BYTES_LIMIT", 4096)
+    with pytest.raises(GroupTooLargeError, match="11 elements on 100 points exceed"):
+        schreier_sims(100, [cycle(100, tuple(range(100)))])
+    assert schreier_sims(10, [cycle(10, tuple(range(10)))]).order == 10
