@@ -32,7 +32,6 @@ from .perm import ClassData, PermGroup, conjugacy_classes
 
 MAX_CLASSES = 64
 PRIME_SEARCH_LIMIT = 10**8
-CERTIFICATE_PRIME_START = 1 << 20
 
 
 class ComputationError(RuntimeError):
@@ -174,10 +173,8 @@ def _split_eigenspaces(mats: list[np.ndarray], p: int, r: int) -> list[list[int]
     return [s[:, 0].tolist() for s in spaces]
 
 
-@functools.lru_cache(maxsize=4096)
-def _lift(counts: tuple[int, ...]) -> Cyclo:
-    """The value sum_d counts[d] * zeta_o^d, o = len(counts); values recur
-    across rows and tables, so they are built once."""
+def _lift(counts) -> Cyclo:
+    """The value sum_d counts[d] * zeta_o^d, o = len(counts)."""
     return cyclo_from_root_counts(len(counts), counts)
 
 
@@ -352,9 +349,10 @@ _FAILURES = (
 
 
 def _certificate_primes(modulus: int, bound: int) -> list[int]:
-    """Primes p ≡ 1 (mod modulus) from 2^20 on, until their product passes
-    bound; below 2^31, so a product of two residues fits int64."""
-    primes = [CERTIFICATE_PRIME_START]
+    """Primes p ≡ 1 (mod modulus) from modp.PRIME_START on, until their
+    product passes bound; below 2^31, so a product of two residues fits
+    int64."""
+    primes = [modp.PRIME_START]
     while math.prod(primes[1:]) <= bound:
         primes.append(next_prime_in_progression(modulus, primes[-1], limit=1 << 31))
     return primes[1:]
@@ -445,11 +443,16 @@ def validate_table(table: CharacterTable) -> TableValidation:
     closure = table.galois_action is not None
     integral = all(v.is_integral() and table.exponent % v.n == 0
                    for row in values for v in row)
-    if table.root_counts:
-        for row, crow, deg in zip(values, table.root_counts, table.degrees):
-            for v, m, o in zip(row, crow, classes.element_orders):
-                if len(m) != o or min(m) < 0 or sum(m) != deg or _lift(tuple(m)) != v:
-                    integral = False
-    one_embedding = closure and integral and bool(table.root_counts) and len(set(values)) == r
+    counts = table.root_counts
+    if counts:
+        # every entry needs its counts (step 1 of _orthogonality's proof reads
+        # them all); entries repeat, so each distinct one is lifted once
+        entries = {(tuple(m), v, d, o) for row, crow, d in zip(values, counts, table.degrees)
+                   for v, m, o in zip(row, crow, classes.element_orders)}
+        integral = (integral and len(counts) == len(values) == len(table.degrees)
+                    and all(len(row) == len(crow) == r for row, crow in zip(values, counts))
+                    and all(len(m) == o and min(m) >= 0 and sum(m) == d and _lift(m) == v
+                            for m, v, d, o in entries))
+    one_embedding = closure and integral and bool(counts) and len(set(values)) == r
     flags = (degree_sum, *_orthogonality(table, one_embedding), first_col, closure, integral)
     return TableValidation(*flags, failures=[why for ok, why in zip(flags, _FAILURES) if not ok])

@@ -387,9 +387,10 @@ def conjugate(c: Cyclo) -> Cyclo:
 
 @functools.lru_cache(maxsize=None)
 def _eval_point(n: int) -> tuple[int, int]:
-    # a prime from 2^20 on keeps modp.evaluate's sums in int64 for conductors
-    # into the thousands (phi(n) * p^2 < 2^63); past that they are Python ints
-    p = next_prime_in_progression(n, 1 << 20, limit=1 << 62)
+    # a prime from modp.PRIME_START on keeps modp.evaluate's sums in int64 for
+    # conductors into the thousands (phi(n) * p^2 < 2^63); past that they are
+    # Python ints
+    p = next_prime_in_progression(n, modp.PRIME_START, limit=1 << 62)
     return p, element_of_order(n, p)
 
 

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Evaluation primes are searched from here on: while (p - 1)^2 < 2^42, dot
+# keeps a sum of up to 2^21 products in int64, and a prime this large makes
+# an accidental zero of a nonzero value improbable.
+PRIME_START = 1 << 20
+
 
 def dot(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """(A @ B) mod p for int64 arrays with entries in [0, p), stacks too.

@@ -132,3 +132,33 @@ def test_counts_must_sum_to_the_degree():
     t = table_for("S3")
     i, s = t.degrees.index(2), t.classes.element_orders.index(2)
     check(with_entry(t, i, s, t.values[i][s], counts=(2, 2)), (True, True, True, True, True, False))
+
+
+@pytest.mark.parametrize("cut", ["row", "entry"])
+def test_missing_root_counts_are_not_certified(monkeypatch, cut):
+    # counts for one row, or for one entry of a row, are dropped: that entry's
+    # bound |sigma(chi(g))| <= d is unproven, so integrality fails and
+    # orthogonality, still true, is decided at every embedding
+    t = table_for("A5")
+    counts = list(t.root_counts)
+    if cut == "row":
+        del counts[-1]
+    else:
+        counts[-1] = counts[-1][:-1]
+    bad = dataclasses.replace(t, root_counts=tuple(counts))
+    seen = []
+    orthogonality = chartab._orthogonality
+    monkeypatch.setattr(chartab, "_orthogonality",
+                        lambda table, one: seen.append(one) or orthogonality(table, one))
+    check(bad, (True, True, True, True, True, False))
+    assert seen == [False]
+
+
+def test_ragged_table_raises():
+    # a row with fewer than k entries fails integrality, so every embedding
+    # is checked, and that path reads all k entries of each row
+    t = table_for("A5")
+    values = list(t.values)
+    values[-1] = values[-1][:-1]
+    with pytest.raises(IndexError):
+        validate_table(dataclasses.replace(t, values=tuple(values)))
