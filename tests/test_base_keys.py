@@ -1,11 +1,13 @@
 """Element ids from base images, checked against full-row matching."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from charfield import perm
 from charfield.chartab import abelian_character_table, dixon_table
-from charfield.perm import KEY_LIMIT, Permutation, conjugacy_classes, enumerate_group
+from charfield.perm import Permutation, conjugacy_classes, enumerate_group
 from charfield.zoo import build
 
 
@@ -38,8 +40,8 @@ def test_mul_matches_composition(spec):
 
 
 def two_level_group():
-    # six disjoint transpositions on 4096 points: the base has 6 points and
-    # 4096**6 = 2**72 > KEY_LIMIT, so the keys are re-ranked once
+    # six disjoint transpositions on 4096 points: a 6-point base on a wide
+    # degree, where 4096**6 = 2**72 base-image tuples would overflow int64
     degree = 4096
     gens = []
     for i in range(6):
@@ -49,11 +51,9 @@ def two_level_group():
     return enumerate_group(degree, gens)
 
 
-def test_keys_over_two_levels():
+def test_lookup_on_4096_points():
     g = two_level_group()
-    degree = g.degree
     assert g.order == 64 and g.base == (0, 2, 4, 6, 8, 10)
-    assert degree ** len(g.base) > KEY_LIMIT and len(g._levels) == 2
     assert g.ids_of_base_images(g.rows[:, list(g.base)]).tolist() == list(range(64))
     assert all(g.id_of(g.element(i)) == i for i in range(64))
     assert all(g.mul(i, g.inverse_id(i)) == 0 for i in range(64))
@@ -78,10 +78,35 @@ def test_membership_compares_whole_rows():
         g.ids_of_base_images([[3]])  # no element sends 0 to 3
 
 
-def test_non_separating_base_is_rejected():
-    rows = build("S4").rows
-    with pytest.raises(ArithmeticError):
-        perm.PermGroup(4, [], rows, (0,))
+@pytest.mark.parametrize("spec", ["S4", "F21", "D18", "PSL(2,7)"])
+def test_lookup_misses_exactly(spec):
+    # every tuple of points, and of -1 and degree, which are not points: a
+    # miss at any base point raises KeyError, and a hit names the row with
+    # those base images
+    g = build(spec)
+    ids = {tuple(row): i for i, row in enumerate(g.rows[:, list(g.base)].tolist())}
+    hits = 0
+    for t in itertools.product(range(-1, g.degree + 1), repeat=len(g.base)):
+        if t in ids:
+            assert g.ids_of_base_images([t]).tolist() == [ids[t]]
+            hits += 1
+        else:
+            with pytest.raises(KeyError):
+                g.ids_of_base_images([t])
+    assert hits == g.order
+
+
+def test_lookup_across_sift_blocks():
+    g = build("A5")
+    images = g.rows[:, list(g.base)]
+    one_by_one = [int(g.ids_of_base_images([t])[0]) for t in images]
+    tiles = perm.SIFT_BLOCK // g.order + 2
+    assert len(images) * tiles > perm.SIFT_BLOCK
+    assert g.ids_of_base_images(np.tile(images, (tiles, 1))).tolist() == one_by_one * tiles
+    assert g.ids_of_base_images(np.empty((0, len(g.base)), dtype=np.int32)).tolist() == []
+    trivial = enumerate_group(3, [])
+    assert trivial.ids_of_base_images(np.empty((5, 0), dtype=np.int32)).tolist() == [0] * 5
+    assert trivial.ids_of_base_images(np.empty((0, 0), dtype=np.int32)).tolist() == []
 
 
 def test_trivial_group_has_empty_base():
