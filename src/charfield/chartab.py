@@ -28,7 +28,7 @@ import numpy as np
 from . import modp
 from .arith import element_of_order, is_prime, next_prime_in_progression, units
 from .cyclo import Cyclo, cyclo_from_root_counts, galois
-from .perm import ClassData, PermGroup, conjugacy_classes
+from .perm import ClassData, PermGroup, conjugacy_classes, power_map
 
 MAX_CLASSES = 64
 PRIME_SEARCH_LIMIT = 10**8
@@ -58,19 +58,33 @@ def class_multiplication_coefficients(group: PermGroup, classes: ClassData,
 
     The count is independent of the chosen z; z_choice (class -> element id)
     exists so tests can verify that.
+
+    The count runs over w = x^-1, which runs through G as x does; then
+    x^-1 z = w z.  x lies in C_i exactly when w lies in the inverse class
+    of C_i, as (g^-1 w g)^-1 = g^-1 w^-1 g: so the class of x is the
+    inverse class of class_of[w] (power_map(classes, -1)), and no inverse
+    is looked up.
+
+    The ids of w z for all w come from the right-multiplication maps the
+    closure kept, right[i][x] = id(x g_i), along the breadth-first word
+    z = g_{a_1} ... g_{a_m} (PermGroup.word).  Products compose as
+    functions, (x g)(p) = x(g(p)), so the product is associative and
+    w z = (...((w g_{a_1}) g_{a_2}) ...) g_{a_m}, hence
+    id(w z) = right[a_m][... right[a_2][right[a_1][w]]]: one |G|-long
+    gather per letter, and no product is sifted.  The representatives are
+    the smallest ids of their classes, so their words are the shortest.
     """
     r = classes.k
     a = np.zeros((r, r, r), dtype=np.int64)
     class_of = classes.class_of
-    # count over w = x^-1, which runs through G as x does: then x^-1 z = wz,
-    # and (wz)(b) = w(z(b)) needs only the columns z(b) of the table
-    x_class = class_of[group.inv_ids]
+    x_class = np.array(power_map(classes, -1), dtype=np.int64)[class_of] * r
     for k in range(r):
         z_id = classes.reps[k] if z_choice is None else z_choice[k]
-        z_base = group.rows[z_id, list(group.base)]
-        y_ids = group.ids_of_base_images(group.rows[:, z_base])
-        counts = np.bincount(x_class * r + class_of[y_ids], minlength=r * r)
-        a[:, :, k] = counts.reshape(r, r)
+        word = group.word(z_id)
+        wz = group.right[word[0]] if word else np.arange(group.order)
+        for i in word[1:]:
+            wz = group.right[i][wz]
+        a[:, :, k] = np.bincount(x_class + class_of[wz], minlength=r * r).reshape(r, r)
     return a
 
 

@@ -13,22 +13,30 @@ images, a dense key in [0, |G|), and gathers full rows only for new
 elements.  The group keeps the chain and the id of each key, so every
 later lookup sifts base images the same way; see PermGroup.
 
+The search also keeps what it walks: the right-multiplication maps
+right[i][x] = id(x * g_i), |G| * #generators int32, and its tree, the
+parent[z] (int32) and parent_gen[z] (uint8 up to 256 generators) with
+z = parent[z] * g_parent_gen[z].  Together they cost |G| * (4 * #generators
++ 5) bytes, and they give the id of w * z for every w without a sift;
+see PermGroup.word and chartab.class_multiplication_coefficients.
+
 The element cap (default 10**6) keeps accidental monsters out; the largest
 built-in group, S9, has 362880 elements.  TABLE_BYTES_LIMIT does the same
-for wide groups, whose table |G| * degree * 4 bytes passes the memory of a
-small machine well inside the element cap.
+for wide groups, whose table and maps, |G| * (degree + #generators) * 4
+bytes, pass the memory of a small machine well inside the element cap.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 DEFAULT_CAP = 10**6
-# the element table takes |G| * degree * 4 bytes; SL(2,32) needs 134 MB
+# the element table and the right-multiplication maps take
+# |G| * (degree + #generators) * 4 bytes; SL(2,32) needs 134 MB
 TABLE_BYTES_LIMIT = 1 << 28
 
 
@@ -107,9 +115,9 @@ class Permutation:
 
 
 # Sifting a row of k base images takes k(k-1)/2 gathers.  In blocks of
-# this many rows their temporaries stay small and in cache; in one pass
-# over |G| rows, A9's class coefficients (181440 rows, a 7-point base)
-# took ~0.6 s against ~0.45 s in a cold process on a 2-CPU machine.
+# this many rows their temporaries stay small and in cache; sifting one
+# conjugation map of S9 (362880 rows, an 8-point base) in one pass took
+# 0.069 s against 0.044 s in blocks, on a 2-CPU machine.
 SIFT_BLOCK = 1 << 15
 
 
@@ -157,8 +165,9 @@ class StabilizerChain:
         """
         k, degree = len(self.base), np.int32(self.degree)
         images = np.asarray(images, dtype=np.int32).reshape(len(images), k)
-        # np.take would wrap a negative image round to a point
-        if images.size and (images.min() < 0 or images.max() >= degree):
+        # np.take would wrap a negative image round to a point; as uint32 a
+        # negative image is past every point, so one max checks both ends
+        if images.size and images.view(np.uint32).max() >= degree:
             raise ArithmeticError("a base image is not a point")
         flat = [inv.ravel() for inv in self.inv_transversals]
         out = np.empty(len(images), dtype=np.int64)
@@ -171,9 +180,9 @@ class StabilizerChain:
                 # c * degree + point < |Delta_i| * degree <= |G| * degree <= 2**26
                 # (TABLE_BYTES_LIMIT / 4), so the flat index fits int32
                 for offset, inv in zip(offsets, flat):
-                    point = np.take(inv, offset + point)
-                c = np.take(position, point)
-                if np.any(c < 0):
+                    point = inv.take(offset + point)
+                c = position.take(point)
+                if c.min() < 0:
                     raise ArithmeticError("a base image lies outside its basic orbit")
                 key *= len(orbit)
                 key += c
@@ -269,10 +278,12 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     in the final Delta_i, of length [G^(i) : G^(i+1)], so the product of
     their lengths bounds |G| from below.  It is checked before each new
     orbit point is stored, and GroupTooLargeError is raised as soon as it
-    passes cap or the element table it implies passes TABLE_BYTES_LIMIT;
+    passes cap or the element table and right-multiplication maps it
+    implies, |G| * (degree + #generators) * 4 bytes, pass TABLE_BYTES_LIMIT;
     the inverse transversals, at most prod |Delta_i| + k rows, stay within
     the same limit.
     """
+    generators = list(generators)
     ident = np.arange(degree, dtype=np.int32)
     levels: list[_Level] = []
 
@@ -281,7 +292,7 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
         order = m * math.prod(len(other.orbit) for other in levels if other is not level)
         if order > cap:
             raise GroupTooLargeError(f"group too large: closure exceeded the cap of {cap} elements")
-        if order * degree * 4 > TABLE_BYTES_LIMIT:
+        if order * (degree + len(generators)) * 4 > TABLE_BYTES_LIMIT:
             raise GroupTooLargeError(
                 f"group too large: {order} elements on {degree} points exceed the "
                 f"{TABLE_BYTES_LIMIT >> 20} MiB element table limit")
@@ -329,16 +340,24 @@ class PermGroup:
     so id_of and `in` also compare the candidate's full row.
 
     A row of base images t is sifted through the stabilizer chain
-    (StabilizerChain.keys), and id_of_key maps the dense key to the id.  A
+    (StabilizerChain.keys), and id_of_key maps the dense key to the id.  The
+    chain is kept without its last level's inverse transversal, which keys
+    never reads and which for a regular group is as large as the table.  A
     miss is reported exactly: t passes every orbit check only if applying
     u_{c_0}^-1, ..., u_{c_{k-1}}^-1 pointwise maps t to the base b (each
     inverse sends its orbit point to b_j, and the later levels fix b_j).
     Then t = y(b) for y = u_{c_0} ... u_{c_{k-1}} in G.  Conversely, every
     element's base images pass the checks, and the base separates G.
+
+    The closure's right-multiplication maps and breadth-first tree are kept
+    too (see _closure_rows): right[i][x] is the id of x * g_i, and element z
+    is parent[z] * g_{parent_gen[z]} with parent[z] < z.  They take
+    |G| * (4 * #generators + 5) bytes, against |G| * degree * 4 for rows.
     """
 
     def __init__(self, degree: int, generators: list[Permutation], rows: np.ndarray,
-                 chain: StabilizerChain, id_of_key: np.ndarray):
+                 chain: StabilizerChain, id_of_key: np.ndarray, right: np.ndarray,
+                 parent: np.ndarray, parent_gen: np.ndarray):
         self.degree = degree
         self.generators = tuple(generators)
         self.rows = rows          # order x degree int32, row 0 = identity
@@ -347,6 +366,9 @@ class PermGroup:
         self.base = chain.base
         self._base_cols = np.array(self.base, dtype=np.intp)
         self._id_of_key = id_of_key  # chain key -> element id
+        self.right = right           # #generators x order int32: id of x * g_i
+        self.parent = parent         # order int32: breadth-first tree, parent[0] = 0
+        self.parent_gen = parent_gen  # order: z = parent[z] * g_{parent_gen[z]}
         self._inv_ids: np.ndarray | None = None
 
     def __repr__(self):
@@ -364,6 +386,20 @@ class PermGroup:
         except ArithmeticError:
             raise KeyError("base images of a permutation outside the group") from None
         return self._id_of_key[keys]
+
+    def word(self, z: int) -> list[int]:
+        """Generator indices a_1, ..., a_m with element z = g_{a_1} ... g_{a_m},
+        read off the breadth-first tree; empty for the identity.
+
+        Each step up writes z = parent[z] * g_{parent_gen[z]} with
+        parent[z] < z, so the walk ends at the identity, id 0, after the
+        depth of z, which is the shortest such word.
+        """
+        letters = []
+        while z:
+            letters.append(int(self.parent_gen[z]))
+            z = int(self.parent[z])
+        return letters[::-1]
 
     def element(self, i: int) -> Permutation:
         p = Permutation.__new__(Permutation)
@@ -420,47 +456,65 @@ def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGrou
         if g.degree != degree:
             raise ValueError("generator degree mismatch")
     chain = schreier_sims(degree, gens, cap)
-    rows, id_of_key = _closure_rows(chain, gens)
-    return PermGroup(degree, gens, rows, chain, id_of_key)
+    # keys never reads the last level's inverse transversal
+    chain = replace(chain, inv_transversals=chain.inv_transversals[:-1])
+    return PermGroup(degree, gens, chain=chain, **_closure_rows(chain, gens))
 
 
-def _closure_rows(chain: StabilizerChain, gens: list[Permutation]):
-    """Rows of every element, ids in breadth-first order, identity first, and
-    the id of each chain key.
+def _closure_rows(chain: StabilizerChain, gens: list[Permutation]) -> dict:
+    """Rows of every element, ids in breadth-first order, identity first; the
+    id of each chain key; and the right-multiplication maps and tree.
 
     The products x*g of a frontier are taken x-major and deduplicated by
     their chain keys, which are distinct on G: only the base images
     x(g(b)) are gathered and sifted, a product is new when its key has no
     id yet, and within a frontier the first occurrence of each key wins,
     as in a scan over full rows.  Full rows are gathered for new elements
-    only.  A count other than |G| raises ArithmeticError.
+    only.  Once a frontier's new elements have ids, the ids of all its
+    products give right[i][x] = id(x * g_i) for each x in the frontier;
+    a new element z = x * g_i records parent[z] = x and parent_gen[z] = i,
+    and x came from an earlier frontier, so parent[z] < z.  Every level
+    writes these arrays by slices.  A count other than |G| raises
+    ArithmeticError.
     """
-    order, degree, k = chain.order, chain.degree, len(chain.base)
+    order, degree, k, n_gens = chain.order, chain.degree, len(chain.base), len(gens)
     rows = np.empty((order, degree), dtype=np.int32)
     rows[0] = np.arange(degree)
     id_of_key = np.full(order, -1, dtype=np.int32)
     id_of_key[chain.keys([chain.base])] = 0
+    right = np.empty((n_gens, order), dtype=np.int32)
+    parent = np.zeros(order, dtype=np.int32)
+    parent_gen = np.zeros(order, dtype=np.min_scalar_type(max(n_gens - 1, 0)))
     count, lo = 1, 0
     if gens:
         gmat = np.array([g.images for g in gens], dtype=np.int32)
         g_base = gmat[:, list(chain.base)]
         while lo < count:
             frontier = rows[lo:count]
-            keys = chain.keys(frontier[:, g_base].reshape(len(frontier) * len(gens), k))
-            fresh = np.flatnonzero(id_of_key[keys] < 0)
-            _, first = np.unique(keys[fresh], return_index=True)
-            new = fresh[np.sort(first)]
-            x, g = np.divmod(new, len(gens))
-            block = rows[count:count + len(new)]
+            keys = chain.keys(frontier[:, g_base].reshape(len(frontier) * n_gens, k))
+            ids = id_of_key[keys]
+            fresh = (ids < 0).nonzero()[0]
+            fresh_keys = keys[fresh]
+            _, first = np.unique(fresh_keys, return_index=True)
+            first.sort()
+            new = fresh[first]
+            end = count + len(new)
+            id_of_key[fresh_keys[first]] = np.arange(count, end)
+            ids[fresh] = id_of_key[fresh_keys]
+            right[:, lo:count] = ids.reshape(len(frontier), n_gens).T
+            x, g = np.divmod(new, n_gens)
+            parent[count:end] = x + lo
+            parent_gen[count:end] = g
+            block = rows[count:end]
             for i, images in enumerate(gmat):
                 # x*g_i(p) = x(g_i(p)): permute the columns of x's rows
-                sel = np.flatnonzero(g == i)
+                sel = (g == i).nonzero()[0]
                 block[sel] = np.take(frontier[x[sel]], images, axis=1)
-            id_of_key[keys[new]] = np.arange(count, count + len(new))
-            lo, count = count, count + len(new)
+            lo, count = count, end
     if count != order:
         raise ArithmeticError(f"the closure has {count} elements, the chain's order is {order}")
-    return rows, id_of_key
+    return dict(rows=rows, id_of_key=id_of_key, right=right, parent=parent,
+                parent_gen=parent_gen)
 
 
 @dataclass(eq=False)

@@ -7,7 +7,9 @@ log2 log2 |G|; written literally, 2**(2**k) has 2**k bits (8 GiB at
 k = 36).  Group construction must stop at the element cap (10**6), at the
 element table limit (perm.TABLE_BYTES_LIMIT) and at q = 32 for PSL(2,q)
 and SL(2,q) with exit code 3, and the largest groups inside them,
-PSL(2,32) and SL(2,32), must build their tables.  Frob(181,3) and C61,
+PSL(2,32) and SL(2,32), must build their tables.  The limit counts the
+right-multiplication maps too, one |G|-long int32 array per generator, so
+a group with many repeated generators stops there as well.  Frob(181,3) and C61,
 small groups with many classes of large element order, must run the
 whole pipeline, validation included.
 """
@@ -52,23 +54,22 @@ print(json.dumps({"k": table.k, "failures": validate_table(table).failures,
                   "f": f_value(table, spec).f}))
 """
 
-# a JSON group has no spec to name it, so the child maps the error to the
-# CLI's construction exit code itself
+# a JSON group, read from stdin, has no spec to name it, so the child maps
+# the error to the CLI's construction exit code itself
 JSON_CHILD = CAPPED + """
-import json, sys
+import sys
 from charfield.perm import GroupTooLargeError, group_from_json
-n = int(sys.argv[1])
 try:
-    group_from_json(json.dumps({"degree": n, "generators": [[(i + 1) % n for i in range(n)]]}))
+    print(group_from_json(sys.stdin.read()).order)
 except GroupTooLargeError as exc:
     print(f"construction error: {exc}", file=sys.stderr)
     sys.exit(3)
 """
 
 
-def run_capped(script, *args):
+def run_capped(script, *args, stdin=None):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, input=stdin,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -89,6 +90,9 @@ def test_fov_at_many_classes(spec, k):
     ("PSL(2,37)", 3, "4 <= q <= 32"),
     ("C2000000", 3, "element table limit"),  # 2,000,000 elements on 2,000,000 points
     ("C50000", 3, "element table limit"),  # within the element cap, a 10 GB table
+    # 8192 elements on 8192 points: the table alone is 256 MiB, and the
+    # right-multiplication map takes it past the limit
+    ("C8192", 3, "element table limit"),
     ("PSL(2,32)", 0, ""),
     ("SL(2,32)", 0, ""),
 ])
@@ -102,9 +106,26 @@ def test_table_at_the_caps(spec, code, message):
 
 def test_wide_json_group_stops_at_the_table_limit():
     # a 20,000-cycle: 20,000 elements, but a 1.6 GB element table
-    done = run_capped(JSON_CHILD, "20000")
+    n = 20000
+    group = {"degree": n, "generators": [[(i + 1) % n for i in range(n)]]}
+    done = run_capped(JSON_CHILD, stdin=json.dumps(group))
     assert done.returncode == 3, done.stderr
     assert "element table limit" in done.stderr
+
+
+@pytest.mark.parametrize("copies,code", [(1, 0), (200, 3)])
+def test_repeated_generators_count_against_the_table_limit(copies, code):
+    # S9 on 9 points has a 13 MiB table, and each generator a 1.4 MiB
+    # right-multiplication map: with the 9-cycle repeated 200 times the
+    # maps take 290 MiB, past the limit
+    swap, nine_cycle = [1, 0, *range(2, 9)], [*range(1, 9), 0]
+    group = {"degree": 9, "generators": [swap] + [nine_cycle] * copies}
+    done = run_capped(JSON_CHILD, stdin=json.dumps(group))
+    assert done.returncode == code, done.stderr
+    if code:
+        assert "362880 elements on 9 points exceed the 256 MiB element table limit" in done.stderr
+    else:
+        assert done.stdout.split() == ["362880"]
 
 
 @pytest.mark.parametrize("spec,k", [("Frob(181,3)", 63), ("C61", 61)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from charfield import perm
+from charfield.chartab import class_multiplication_coefficients
 from charfield.perm import (
     GroupTooLargeError,
     Permutation,
@@ -288,6 +289,10 @@ def test_chain_against_the_element_table(spec):
     assert len(stab) == 1  # the base's pointwise stabilizer is trivial
     keys = chain.keys(g.rows[:, list(chain.base)])
     assert sorted(keys.tolist()) == list(range(g.order))
+    # the group keeps the chain without the last transversal, which keys
+    # never reads, and gets the same keys from it
+    assert len(g.chain.inv_transversals) == max(len(chain.base) - 1, 0)
+    assert np.array_equal(g.chain.keys(g.rows[:, list(chain.base)]), keys)
 
 
 @pytest.mark.parametrize("spec", ["S4", "A5", "Sz(8)", "PSL(2,19)"])
@@ -375,3 +380,93 @@ def test_cap_stops_an_orbit_before_its_rows_are_stored(monkeypatch):
     with pytest.raises(GroupTooLargeError, match="11 elements on 100 points exceed"):
         schreier_sims(100, [cycle(100, tuple(range(100)))])
     assert schreier_sims(10, [cycle(10, tuple(range(10)))]).order == 10
+
+
+# and a JSON group that repeats a generator and has the identity among its
+# generators
+MAP_GROUPS = [*CHAIN_GROUPS, "C3xC2, repeated and identity generators"]
+
+
+def map_group(spec):
+    if spec.startswith("C3xC2"):
+        c3 = cycle(6, (0, 1, 2))
+        gens = [c3, Permutation.identity(6), c3, cycle(6, (3, 4))]
+        return group_from_json(group_to_json(6, gens))
+    return chain_group(spec)
+
+
+def sifted_coefficients(g, classes, z_choice=None):
+    """The class coefficients counted by sifting every product w*z through
+    the chain, with x = w^-1 looked up as the inverse of w."""
+    r = classes.k
+    a = np.zeros((r, r, r), dtype=np.int64)
+    x_class = classes.class_of[g.inv_ids]
+    for k in range(r):
+        z = classes.reps[k] if z_choice is None else z_choice[k]
+        wz = g.ids_of_base_images(g.rows[:, g.rows[z, list(g.base)]])
+        counts = np.bincount(x_class * r + classes.class_of[wz], minlength=r * r)
+        a[:, :, k] = counts.reshape(r, r)
+    return a
+
+
+@pytest.mark.parametrize("spec", MAP_GROUPS)
+def test_right_maps_and_tree_against_products(spec):
+    # oracle: each product x*g_i written out as a full row, found by its bytes
+    g = map_group(spec)
+    full = {row.tobytes(): i for i, row in enumerate(g.rows)}
+    assert g.right.shape == (len(g.generators), g.order) and g.right.dtype == np.int32
+    for i, gen in enumerate(g.generators):
+        products = g.rows[:, list(gen.images)]  # (x*g_i)(p) = x(g_i(p))
+        assert g.right[i].tolist() == [full[row.tobytes()] for row in products]
+    assert g.parent[0] == 0 and g.parent_gen.dtype == np.uint8
+    z = np.arange(1, g.order)
+    assert np.all(g.parent[z] < z)
+    gens = np.array([gen.images for gen in g.generators], dtype=np.int32)
+    for i in range(len(gens)):
+        zi = z[g.parent_gen[z] == i]
+        assert np.array_equal(g.rows[g.parent[zi]][:, gens[i]], g.rows[zi])
+    classes = conjugacy_classes(g)
+    rng = random.Random(9)
+    for z in [*classes.reps, *rng.sample(range(g.order), min(g.order, 20))]:
+        product = Permutation.identity(g.degree)
+        for i in g.word(z):
+            product = product * g.generators[i]
+        assert product == g.element(z)
+
+
+@pytest.mark.parametrize("spec", MAP_GROUPS)
+def test_coefficients_against_sifted_products(spec):
+    g = map_group(spec)
+    classes = conjugacy_classes(g)
+    want = sifted_coefficients(g, classes)
+    assert np.array_equal(class_multiplication_coefficients(g, classes), want)
+    rng = random.Random(10)
+    members = [np.flatnonzero(classes.class_of == c).tolist() for c in range(classes.k)]
+    for _ in range(2):
+        choice = {c: rng.choice(ids) for c, ids in enumerate(members)}
+        got = class_multiplication_coefficients(g, classes, z_choice=choice)
+        assert np.array_equal(got, sifted_coefficients(g, classes, choice))
+        assert np.array_equal(got, want)
+
+
+def test_coefficients_sift_no_product(monkeypatch):
+    g = build("A5")
+    classes = conjugacy_classes(g)
+    want = class_multiplication_coefficients(g, classes)
+
+    def refused(self, *images):
+        raise AssertionError("a product was sifted")
+
+    monkeypatch.setattr(perm.PermGroup, "ids_of_base_images", refused)
+    monkeypatch.setattr(perm.PermGroup, "inv_ids", property(refused))
+    assert np.array_equal(class_multiplication_coefficients(g, classes), want)
+
+
+def test_many_generators_widen_the_parent_tree():
+    # 300 generators, 299 of them repeats, need two bytes per tree label
+    gens = [cycle(4, (0, 1, 2, 3))] * 299 + [cycle(4, (0, 1))]
+    g = enumerate_group(4, gens)
+    assert g.order == 24 and g.parent_gen.dtype == np.uint16
+    assert g.right.shape == (300, 24) and set(g.parent_gen.tolist()) == {0, 299}
+    for z in range(1, g.order):
+        assert g.element(int(g.parent[z])) * gens[g.parent_gen[z]] == g.element(z)
