@@ -239,12 +239,17 @@ def dixon_table(group: PermGroup, classes: ClassData | None = None,
     counts = [modp.evaluate(chi_p[:, list(classes.powers[j])], pow(theta, e - e // o, p), o,
                             range(o), p, scale=pow(o, -1, p)).tolist()
               for j, o in enumerate(classes.element_orders)]
+    # entries repeat their count vectors (SL(2,25): 841 entries, 127 vectors),
+    # so each distinct vector is lifted once
+    lifts: dict[tuple[int, ...], Cyclo] = {}
     rows = []
     for i, deg in enumerate(degrees):
         row_counts = tuple(tuple(counts[j][i]) for j in range(r))
         if any(sum(m) != deg for m in row_counts):  # pragma: no cover - certifies the lift
             raise ComputationError("root-of-unity multiplicities do not sum to the degree")
-        rows.append((deg, tuple(_lift(m) for m in row_counts), row_counts))
+        values = tuple(lifts[m] if m in lifts else lifts.setdefault(m, _lift(m))
+                       for m in row_counts)
+        rows.append((deg, values, row_counts))
 
     table = _sorted_table(group, classes, e, p, rows)
     if sum(d * d for d in table.degrees) != n:  # pragma: no cover

@@ -24,14 +24,24 @@ The descent n -> n/p uses the splitting of Q_n over Q_{n/p}:
   iff its coordinates on zeta_p^1..zeta_p^(p-2) vanish.
 
 Both cases are the kernel test of (Z/n)* -> (Z/m)* made constructive: the
-value is fixed by Gal(Q_n/Q_m) exactly when the extraction succeeds.
+value is fixed by Gal(Q_n/Q_m) exactly when the extraction succeeds.  In
+the coprime case the coefficients are added into p dense buckets of length
+m, one per power of zeta_p, and each bucket is reduced once modulo Phi_m;
+reduction is Q-linear, so that is the sum of the reduced monomials (proof
+in _descend_once).
+
+Phi_n itself comes from Phi_n(z) = Phi_rad(n)(z^(n/rad(n))) and, for
+squarefree n, the Moebius product Phi_n = prod_{d | n} (z^d - 1)^mu(n/d):
+one multiplication or exact division by a sparse binomial per divisor, each
+linear in the degree (proof in cyclotomic_polynomial).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -41,14 +51,20 @@ from .arith import element_of_order, euler_phi, next_prime_in_progression, prime
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, lowest degree first."""
+    """Integer coefficients of Phi_n, lowest degree first.
+
+    Squarefree n uses Phi_n = prod_{d | n} (z^d - 1)^mu(n/d), the Moebius
+    inversion of z^n - 1 = prod_{d | n} Phi_d.  Multiplying by z^d - 1
+    (mu(n/d) = 1) is g[i] = f[i - d] - f[i].  Dividing by it (mu(n/d) = -1)
+    solves f = q(z^d - 1), coefficient by coefficient from the bottom:
+    q[i] = q[i - d] - f[i].  Every division is exact: all the multiplications
+    come first, so f = Phi_n * N with N the product of the divisors still
+    pending, and z^d - 1 divides N.  Each step is linear in the degree.
+    """
     if n < 1:
         raise ValueError("conductor must be positive")
-    if n == 1:
-        return (-1, 1)
-    rad = 1
-    for p in prime_factors(n):
-        rad *= p
+    primes = prime_factors(n)
+    rad = prod(primes)
     if rad != n:
         # Phi_n(z) = Phi_rad(z^(n/rad))
         inner = cyclotomic_polynomial(rad)
@@ -56,33 +72,22 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         out = [0] * (s * (len(inner) - 1) + 1)
         out[::s] = inner
         return tuple(out)
-    # squarefree n: exact division of z^n - 1 by the proper-divisor factors
-    quo = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            quo = _polydiv_exact(quo, cyclotomic_polynomial(d))
-    return tuple(quo)
-
-
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact division of integer polynomials, den monic or +-1-led
-    num = num[:]
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("non-exact polynomial division")
-        out[i - dd] = q
-        for j, a in enumerate(den):
-            num[i - dd + j] -= q * a
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+    up, down = [], []  # d | n with mu(n/d) = 1 and -1
+    for k in range(len(primes) + 1):
+        for sub in itertools.combinations(primes, k):
+            (down if (len(primes) - k) % 2 else up).append(prod(sub))
+    f = [1]
+    for d in up:
+        g = [0] * d + f
+        for i, c in enumerate(f):
+            g[i] -= c
+        f = g
+    for d in down:
+        q = [-c for c in f[:len(f) - d]]
+        for i in range(d, len(q)):
+            q[i] += q[i - d]
+        f = q
+    return tuple(f)
 
 
 def _reduce_mod_phi(n: int, dense: list[int]) -> list[int]:
@@ -103,7 +108,19 @@ def _reduce_mod_phi(n: int, dense: list[int]) -> list[int]:
 
 
 def _descend_once(n: int, vec: list[int]) -> tuple[int, list[int]] | None:
-    """Try to rewrite vec (reduced mod Phi_n) in Q_{n/p} for some prime p|n."""
+    """Try to rewrite vec (reduced mod Phi_n) in Q_{n/p} for some prime p|n.
+
+    In the coprime split, zeta_n^i = zeta_p^(a*i) * zeta_m^(b*i), so the
+    value is sum_u zeta_p^u * gamma_u with gamma_u = sum of c_i * zeta_m^(b*i)
+    over a*i = u (mod p).  Each gamma_u is first gathered as a dense vector
+    of length m (c_i added at b*i mod m) and then reduced once mod Phi_m.
+    That equals the sum of the reduced monomials, because reduction mod
+    Phi_m is Q-linear: it is the coordinate map of evaluation at zeta_m.
+    With zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)) the value is
+    (gamma_0 - gamma_(p-1)) + sum_{0<u<p-1} (gamma_u - gamma_(p-1)) zeta_p^u,
+    so it lies in Q_m exactly when every gamma_u, 0 < u < p-1, equals
+    gamma_(p-1), and the scan stops at the first one that differs.
+    """
     for p in prime_factors(n):
         m = n // p
         if m > 1 and m % p == 0:
@@ -114,19 +131,14 @@ def _descend_once(n: int, vec: list[int]) -> tuple[int, list[int]] | None:
         # coprime split: zeta_n = zeta_p^a * zeta_m^b
         a = pow(m, -1, p)
         b = 0 if m == 1 else pow(p, -1, m)
-        phim = euler_phi(m)
-        gammas = [[0] * phim for _ in range(p)]
+        buckets = [[0] * m for _ in range(p)]
         for i, c in enumerate(vec):
             if c:
-                dense = [0] * m
-                dense[b * i % m] = c
-                g = gammas[a * i % p]
-                for j, x in enumerate(_reduce_mod_phi(m, dense)):
-                    g[j] += x
-        last = gammas[p - 1]
-        if any(gammas[u] != last for u in range(1, p - 1)):
+                buckets[a * i % p][b * i % m] += c
+        last = _reduce_mod_phi(m, buckets[p - 1])
+        if any(_reduce_mod_phi(m, buckets[u]) != last for u in range(1, p - 1)):
             continue
-        return m, [x - y for x, y in zip(gammas[0], last)]
+        return m, [x - y for x, y in zip(_reduce_mod_phi(m, buckets[0]), last)]
     return None
 
 

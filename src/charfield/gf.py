@@ -5,12 +5,30 @@ irreducible modulus.  The modulus is the lexicographically smallest monic
 irreducible polynomial of degree m, coefficients read from the leading
 term down, so every field has one published model and the generator
 matrices built on top of it are reproducible.
+
+Element i of the model has the base-p digits of i as its coordinates, and
+field(p, m) interns one FieldElem per i.  The polynomial model is used
+once per field, to find the modulus and to build O(q) tables, q = p^m
+(Zech logarithms; Lidl & Niederreiter, *Finite Fields*, ch. 10):
+
+* the primitive element g is the element of smallest encoding whose
+  powers g^0, ..., g^(q-2) are pairwise distinct, found by multiplying
+  out those powers in the polynomial model; they are the antilog table;
+* the log of a nonzero x is the k with g^k = x;
+* the Zech table holds Z(k) = log(1 + g^k), or None when 1 + g^k = 0.
+
+Then x*y = g^(log x + log y), x^-1 = g^(-log x), x^e = g^(e log x),
+-x = g^(log x + log(-1)) with log(-1) = (q-1)/2 for odd p and 0 for
+p = 2, and x + y = x(1 + y/x) = g^(log x + Z(log y - log x)).  Every
+operation is an index lookup that returns an interned element, and the
+tables take O(q) space and O(q) multiplications in the model to build.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from math import gcd
 
 from .arith import is_prime
 from .modp import poly_mod, poly_mul
@@ -18,7 +36,7 @@ from .modp import poly_mod, poly_mul
 
 @functools.lru_cache(maxsize=None)
 def field(p: int, m: int = 1) -> "FieldSpec":
-    """The field GF(p^m) with its fixed modulus."""
+    """The field GF(p^m) with its fixed modulus and its log tables."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1:
@@ -49,16 +67,48 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise ArithmeticError("no irreducible polynomial found")  # pragma: no cover
 
 
+def _digits(i: int, p: int, m: int) -> tuple[int, ...]:
+    return tuple(i // p**j % p for j in range(m))
+
+
+def _encode(coeffs, p: int) -> int:
+    return sum(c * p**j for j, c in enumerate(coeffs))
+
+
+def _antilogs(p: int, m: int, modulus: tuple[int, ...]) -> list[int]:
+    """Encodings of g^0, ..., g^(q-2) for the primitive g of smallest encoding."""
+    q = p**m
+    for i in range(1, q):
+        g, x, walk = _digits(i, p, m), [1], [1]
+        # the walk stops at the first power equal to 1, so g is primitive
+        # exactly when it has q - 1 steps
+        while (x := poly_mod(poly_mul(x, g, p), modulus, p)) != [1]:
+            walk.append(_encode(x, p))
+        if len(walk) == q - 1:
+            return walk
+    raise ArithmeticError("no primitive element found")  # pragma: no cover
+
+
 class FieldSpec:
     """A concrete model of GF(p^m); obtain instances through field(p, m)."""
 
-    __slots__ = ("p", "m", "modulus", "order")
+    __slots__ = ("p", "m", "modulus", "order", "_elems", "_power", "_zech", "_neg_log")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.modulus = modulus  # low-to-high, monic, length m + 1
-        self.order = p**m
+        self.order = q = p**m
+        exp = _antilogs(p, m, modulus)
+        log = [None] * q
+        for k, i in enumerate(exp):
+            log[i] = k
+        self._elems = [FieldElem(self, i, _digits(i, p, m), log[i]) for i in range(q)]
+        # power[k] = g^k for 0 <= k < 2(q - 1): a sum of two logs needs no reduction
+        self._power = [self._elems[exp[k % (q - 1)]] for k in range(2 * (q - 1))]
+        # 1 + x adds 1 to the lowest base-p digit of x's encoding
+        self._zech = [log[i + 1 if i % p != p - 1 else i + 1 - p] for i in exp]
+        self._neg_log = (q - 1) // 2 if p % 2 else 0
 
     def __repr__(self):
         return f"GF({self.order})"
@@ -67,33 +117,28 @@ class FieldSpec:
         cs = [c % self.p for c in coeffs]
         if len(cs) > self.m:
             cs = poly_mod(cs, self.modulus, self.p)
-        cs += [0] * (self.m - len(cs))
-        return FieldElem(self, tuple(cs))
+        return self._elems[_encode(cs, self.p)]
 
     def from_int(self, i: int) -> "FieldElem":
         """Element with base-p digits of i as coordinates (0 <= i < order)."""
         if not 0 <= i < self.order:
             raise ValueError("index out of range")
-        digits = []
-        for _ in range(self.m):
-            i, r = divmod(i, self.p)
-            digits.append(r)
-        return FieldElem(self, tuple(digits))
+        return self._elems[i]
 
     @property
     def zero(self) -> "FieldElem":
-        return FieldElem(self, (0,) * self.m)
+        return self._elems[0]
 
     @property
     def one(self) -> "FieldElem":
-        return FieldElem(self, (1,) + (0,) * (self.m - 1))
+        return self._elems[1]
 
     @property
     def gen(self) -> "FieldElem":
         """The class of x (for m >= 2); the residue of the smallest primitive
         root for prime fields."""
         if self.m >= 2:
-            return FieldElem(self, (0, 1) + (0,) * (self.m - 2))
+            return self._elems[self.p]
         for a in range(2, self.p):
             if _order_in_field(self.from_int(a)) == self.p - 1:
                 return self.from_int(a)
@@ -101,28 +146,26 @@ class FieldSpec:
 
     def elements(self):
         """All elements, in integer-encoding order."""
-        return [self.from_int(i) for i in range(self.order)]
+        return list(self._elems)
 
 
 def _order_in_field(x: "FieldElem") -> int:
+    # g^k has order (q - 1) / gcd(k, q - 1) in the cyclic group of order q - 1
     if not x:
         raise ValueError("zero has no multiplicative order")
-    k, cur = 1, x
-    one = x.spec.one
-    while cur != one:
-        cur = cur * x
-        k += 1
-    return k
+    return (x.spec.order - 1) // gcd(x.log, x.spec.order - 1)
 
 
 class FieldElem:
-    """Immutable element of a FieldSpec."""
+    """Immutable element of a FieldSpec, interned by its integer encoding."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "i", "coeffs", "log")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, i: int, coeffs: tuple[int, ...], log: int | None):
         self.spec = spec
+        self.i = i
         self.coeffs = coeffs
+        self.log = log  # None for zero
 
     def _check(self, other: "FieldElem"):
         if not isinstance(other, FieldElem) or other.spec is not self.spec:
@@ -130,55 +173,54 @@ class FieldElem:
 
     def __add__(self, other):
         self._check(other)
-        p = self.spec.p
-        return FieldElem(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        if not other.i:
+            return self
+        if not self.i:
+            return other
+        spec = self.spec
+        # a negative difference indexes the Zech table from its end, mod q - 1
+        z = spec._zech[other.log - self.log]
+        return spec._elems[0] if z is None else spec._power[self.log + z]
 
     def __sub__(self, other):
         self._check(other)
-        p = self.spec.p
-        return FieldElem(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        if not other.i:
+            return self
+        return self + self.spec._power[other.log + self.spec._neg_log]
 
     def __mul__(self, other):
         self._check(other)
-        p, m = self.spec.p, self.spec.m
-        rem = poly_mod(poly_mul(self.coeffs, other.coeffs, p), self.spec.modulus, p)
-        rem += [0] * (m - len(rem))
-        return FieldElem(self.spec, tuple(rem))
+        if not (self.i and other.i):
+            return self.spec._elems[0]
+        return self.spec._power[self.log + other.log]
 
     def inv(self) -> "FieldElem":
-        if not self:
+        if not self.i:
             raise ZeroDivisionError("inversion of zero field element")
-        return self ** (self.spec.order - 2)
+        return self.spec._power[self.spec.order - 1 - self.log]
 
     def __pow__(self, e: int) -> "FieldElem":
-        if e < 0:
-            return self.inv() ** (-e)
-        out, base = self.spec.one, self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if not self.i:
+            if e < 0:
+                raise ZeroDivisionError("inversion of zero field element")
+            return self.spec.one if e == 0 else self
+        return self.spec._power[self.log * e % (self.spec.order - 1)]
 
     def frobenius(self, e: int = 1) -> "FieldElem":
         """x -> x^(p^e)."""
         return self ** (self.spec.p**e)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.i != 0
 
     def __eq__(self, other):
-        return isinstance(other, FieldElem) and self.spec is other.spec and self.coeffs == other.coeffs
+        return isinstance(other, FieldElem) and self.spec is other.spec and self.i == other.i
 
     def __hash__(self):
-        return hash((id(self.spec), self.coeffs))
+        return self.i
 
     def __int__(self):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * self.spec.p + c
-        return out
+        return self.i
 
     def __repr__(self):
-        return f"{self.spec!r}:{int(self)}"
+        return f"{self.spec!r}:{self.i}"

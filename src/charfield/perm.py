@@ -28,6 +28,7 @@ bytes, pass the memory of a small machine well inside the element cap.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -527,7 +528,23 @@ class ClassData:
     sizes: tuple[int, ...]
     class_of: np.ndarray             # element id -> class index
     element_orders: tuple[int, ...]  # order of the representative per class
-    powers: tuple[tuple[int, ...], ...] = field(repr=False)  # [i][t]: class of rep_i^t
+
+    @functools.cached_property
+    def powers(self) -> tuple[tuple[int, ...], ...]:
+        """[i][t]: class of rep_i^t for 0 <= t < o(rep_i), walked on first use.
+
+        The walk keeps sum_i o(rep_i) rows of base images, so it waits until
+        a caller needs it; chartab.dixon_table asks only after it has
+        checked k against MAX_CLASSES.
+        """
+        steps = list(_base_walk(self.group, self.reps))
+        ids = self.group.ids_of_base_images(np.concatenate([cur for _, cur in steps]))
+        table = np.zeros((self.k, len(steps)), dtype=np.int64)
+        start = 0
+        for t, (live, cur) in enumerate(steps):
+            table[live, t] = self.class_of[ids[start:start + len(cur)]]
+            start += len(cur)
+        return tuple(tuple(row[:o]) for row, o in zip(table.tolist(), self.element_orders))
 
     def power_map(self, i: int, k: int) -> int:
         """Class of rep_i ** k (well-defined on the class)."""
@@ -535,6 +552,26 @@ class ClassData:
 
     def inverse_class(self, i: int) -> int:
         return self.power_map(i, -1)
+
+
+def _base_walk(group: PermGroup, xs):
+    """Yield (live, images) for t = 0, 1, ...: the positions i in xs with
+    o(x_i) > t, and the base images of x_i^t for those, one row each.
+
+    The base separates G, so x^t is the identity exactly when it fixes the
+    base, and the walk b, x(b), x^2(b), ... of x first returns at t = o(x);
+    x leaves the walk there.  Each t is one gather for every x still
+    walking.  An empty base (the trivial group) walks one step.
+    """
+    xs = np.asarray(xs, dtype=np.intp)
+    base = np.array(group.base, dtype=np.int32)
+    live = np.arange(len(xs))
+    cur = np.tile(base, (len(xs), 1))
+    while live.size:
+        yield live, cur
+        cur = group.rows[xs[live][:, None], cur]
+        walking = ~(cur == base).all(axis=1)
+        live, cur = live[walking], cur[walking]
 
 
 def conjugacy_classes(group: PermGroup) -> ClassData:
@@ -551,9 +588,9 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
     constant on each orbit of the maps, which is a class, and as it lies in
     the class and below every id there, it is the class's smallest id.
 
-    Orders and power maps come from base images: the base separates G, so
-    x^t is the identity exactly when it fixes the base, and the walk b, x(b),
-    x^2(b), ... of a class representative x first returns at t = o(x).
+    The representatives' orders come from one batched walk of their base
+    images (_base_walk), which keeps nothing; ClassData.powers walks again
+    on first use.
     """
     conj_maps = []
     for g in group.generators:
@@ -572,30 +609,20 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
         lab = new
     seeds, class_of = np.unique(lab, return_inverse=True)
     sizes = np.bincount(class_of).tolist()
-    base = np.array(group.base, dtype=np.intp)
-    raw, walks = [], []
-    for seed, size in zip(seeds.tolist(), sizes):
-        # an empty base (the trivial group) walks one step
-        row, walk = group.rows[seed], [base]
-        while not np.array_equal(cur := row[walk[-1]], base):
-            walk.append(cur)
-        raw.append((seed, size, len(walk), len(walks)))
-        walks.extend(walk)
-    power_ids = group.ids_of_base_images(walks)
-    order_key = sorted(range(len(raw)), key=lambda c: (raw[c][2], raw[c][1], raw[c][0]))
+    orders = np.zeros(len(seeds), dtype=np.int64)
+    for live, _ in _base_walk(group, seeds):
+        orders[live] += 1
+    raw = list(zip(orders.tolist(), sizes, seeds.tolist()))
+    order_key = sorted(range(len(raw)), key=raw.__getitem__)
     relabel = np.empty(len(raw), dtype=np.int32)
-    for new, old in enumerate(order_key):
-        relabel[old] = new
-    class_of = relabel[class_of]
-    power_classes = class_of[power_ids].tolist()  # [start + t]: class of rep^t
+    relabel[order_key] = np.arange(len(raw), dtype=np.int32)
     return ClassData(
         group=group,
         k=len(raw),
-        reps=tuple(raw[c][0] for c in order_key),
+        reps=tuple(raw[c][2] for c in order_key),
         sizes=tuple(raw[c][1] for c in order_key),
-        class_of=class_of,
-        element_orders=tuple(raw[c][2] for c in order_key),
-        powers=tuple(tuple(power_classes[raw[c][3]:raw[c][3] + raw[c][2]]) for c in order_key),
+        class_of=relabel[class_of],
+        element_orders=tuple(raw[c][0] for c in order_key),
     )
 
 

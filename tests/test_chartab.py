@@ -9,6 +9,7 @@ import pytest
 from charfield import modp
 from charfield.arith import element_of_order, next_prime_in_progression, units
 from charfield.chartab import (
+    ComputationError,
     abelian_character_table,
     admissible_prime,
     class_multiplication_coefficients,
@@ -249,6 +250,19 @@ def test_trivial_group():
     t = table("C1")
     assert t.degrees == (1,)
     assert validate_table(t).all_ok
+
+
+def test_class_limit_refuses_before_the_power_walk():
+    classes = conjugacy_classes(build("C128"))
+    assert classes.element_orders[:3] == (1, 2, 4) and classes.element_orders[-1] == 128
+    with pytest.raises(ComputationError, match="128 classes exceeds the supported maximum"):
+        dixon_table(classes.group, classes)
+    assert "powers" not in vars(classes)
+    # the walk still runs on demand: the generator's class squares to the
+    # class of its square
+    gen = classes.group.generators[0]
+    c, c2 = (int(classes.class_of[classes.group.id_of(x)]) for x in (gen, gen * gen))
+    assert classes.power_map(c, 2) == c2 and "powers" in vars(classes)
 
 
 def test_a5_table():

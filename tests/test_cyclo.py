@@ -310,3 +310,131 @@ def test_fractional_values_at_the_api_edge():
     assert r.rational_value() == Fraction(-3, 4)
     for x in (v, w, u, r):
         assert Cyclo.from_obj(x.to_obj()) == x
+
+
+# -- oracles for the Moebius product and the bucketed descent ---------------
+
+
+def _prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _polydiv_exact(num, den):
+    # exact division of integer polynomials by a monic or -1-led divisor
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        if not num[i]:
+            continue
+        q, r = divmod(num[i], den[-1])
+        assert r == 0
+        out[i - dd] = q
+        for j, a in enumerate(den):
+            num[i - dd + j] -= q * a
+    assert not any(num)
+    return out
+
+
+_PHI_ORACLE = {}
+
+
+def _phi_by_exact_division(n):
+    # z^n - 1 divided by Phi_d for every proper divisor d of n
+    if n not in _PHI_ORACLE:
+        quo = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                quo = _polydiv_exact(quo, _phi_by_exact_division(d))
+        _PHI_ORACLE[n] = tuple(quo)
+    return _PHI_ORACLE[n]
+
+
+def test_cyclotomic_polynomial_matches_exact_division():
+    for n in range(1, 601):
+        assert cyclotomic_polynomial(n) == _phi_by_exact_division(n), n
+
+
+def _reduce_by_oracle(n, dense):
+    phi = _phi_by_exact_division(n)
+    deg = len(phi) - 1
+    dense = list(dense)
+    for e in range(len(dense) - 1, deg - 1, -1):
+        c, dense[e] = dense[e], 0
+        for j in range(deg):
+            dense[e - deg + j] -= c * phi[j]
+    return dense[:deg]
+
+
+def _descend_per_coefficient(n, vec):
+    # the descent n -> n/p with each monomial reduced mod Phi_m on its own
+    for p in _prime_divisors(n):
+        m = n // p
+        if m > 1 and m % p == 0:
+            if any(vec[i] for i in range(len(vec)) if i % p):
+                continue
+            return m, [vec[p * j] for j in range(totient(m))]
+        a = pow(m, -1, p)
+        b = 0 if m == 1 else pow(p, -1, m)
+        gammas = [[0] * totient(m) for _ in range(p)]
+        for i, c in enumerate(vec):
+            if c:
+                monomial = [0] * m
+                monomial[b * i % m] = c
+                g = gammas[a * i % p]
+                for j, x in enumerate(_reduce_by_oracle(m, monomial)):
+                    g[j] += x
+        if any(gammas[u] != gammas[p - 1] for u in range(1, p - 1)):
+            continue
+        return m, [x - y for x, y in zip(gammas[0], gammas[p - 1])]
+    return None
+
+
+def _canonical_by_oracle(n, dense):
+    vec = _reduce_by_oracle(n, dense)
+    while n > 1 and (step := _descend_per_coefficient(n, vec)) is not None:
+        n, vec = step
+    return n, tuple(vec)
+
+
+def _random_dense(rng, n):
+    # a value of Q_d for a random d | n, at times averaged over a cyclic
+    # subgroup of Galois (a fixed field that need not be cyclotomic), plus
+    # random multiples of zeta^s * (sum of the p-th roots of unity) = 0
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    d = rng.choice(divisors)
+    dense = [0] * n
+    for i in range(d):
+        dense[i * (n // d)] = rng.randint(-4, 4)
+    if rng.random() < 0.3:
+        k = rng.choice([k for k in range(1, n) if gcd(k, n) == 1])
+        averaged, power = [0] * n, 1
+        while True:
+            for i, c in enumerate(dense):
+                averaged[i * power % n] += c
+            power = power * k % n
+            if power == 1:
+                break
+        dense = averaged
+    for _ in range(rng.randint(0, 4)):
+        p, s, c = rng.choice(_prime_divisors(n)), rng.randrange(n), rng.randint(-3, 3)
+        for j in range(p):
+            dense[(s + j * (n // p)) % n] += c
+    return dense
+
+
+@pytest.mark.parametrize("n", [60, 105, 180, 210])
+def test_descent_matches_the_per_coefficient_oracle(n):
+    from charfield.cyclo import _from_dense
+
+    rng = random.Random(1000 + n)
+    conductors = set()
+    for trial in range(80):
+        dense = ([rng.randint(-5, 5) for _ in range(n)] if trial % 8 == 0
+                 else _random_dense(rng, n))
+        want = _canonical_by_oracle(n, dense)
+        got = _from_dense(n, list(dense))
+        assert (got.n, got.coeffs, got.den) == (*want, 1)
+        conductors.add(got.n)
+    # the vectors reach several intermediate conductors, not only n and 1
+    assert len(conductors - {1, n}) >= 3

@@ -3,6 +3,10 @@ import itertools
 import pytest
 
 from charfield.gf import field, _order_in_field
+from charfield.modp import poly_mod, poly_mul
+
+AXIOM_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3),
+                (3, 2), (2, 4), (5, 2), (2, 5), (3, 3), (2, 6), (7, 2)]
 
 
 def test_prime_field_basics():
@@ -41,8 +45,7 @@ def test_cross_field_operations_rejected():
         a + b
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3),
-                                 (3, 2), (2, 4), (5, 2), (2, 5), (3, 3), (2, 6), (7, 2)])
+@pytest.mark.parametrize("p,m", AXIOM_FIELDS)
 def test_field_axioms_exhaustive(p, m):
     F = field(p, m)
     els = F.elements()
@@ -56,6 +59,44 @@ def test_field_axioms_exhaustive(p, m):
         assert (x + y).frobenius() == x.frobenius() + y.frobenius()
 
 
+@pytest.mark.parametrize("p,m", AXIOM_FIELDS)
+def test_operations_match_the_polynomial_model(p, m):
+    # the log tables against coefficient vectors multiplied and reduced
+    # modulo the published modulus, element by element
+    F = field(p, m)
+    q = F.order
+
+    def pad(cs):
+        return tuple(cs) + (0,) * (m - len(cs))
+
+    def mul(a, b):
+        return pad(poly_mod(poly_mul(a, b, p), F.modulus, p))
+
+    els = F.elements()
+    assert [x.coeffs for x in els] == [tuple(i // p**j % p for j in range(m)) for i in range(q)]
+    assert [int(x) for x in els] == list(range(q))
+    one = F.one.coeffs
+    assert one == pad([1])
+    for x, y in itertools.product(els, els):
+        assert (x + y).coeffs == tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
+        assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))
+        assert (x * y).coeffs == mul(x.coeffs, y.coeffs)
+        assert F.elem(poly_mul(x.coeffs, y.coeffs, p)) is x * y
+    for x in els:
+        model = [one]  # x^e in the model, e < 2q
+        for _ in range(2 * q - 1):
+            model.append(mul(model[-1], x.coeffs))
+        assert [(x**e).coeffs for e in range(2 * q)] == model
+        assert [x.frobenius(j).coeffs for j in range(m + 1)] == [model[p**j] for j in range(m + 1)]
+        if x:
+            assert mul(x.coeffs, x.inv().coeffs) == one
+            for e in range(1, q + 1):
+                assert mul((x**-e).coeffs, model[e]) == one
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x ** -1
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (2, 5),
                                  (3, 3), (7, 2), (2, 6)])
 def test_multiplicative_group_cyclic(p, m):
@@ -67,3 +108,15 @@ def test_multiplicative_group_cyclic(p, m):
 def test_zero_inverse_rejected():
     with pytest.raises(ZeroDivisionError):
         field(5).zero.inv()
+
+
+@pytest.mark.parametrize("p,m", AXIOM_FIELDS)
+def test_order_in_field_counts_powers(p, m):
+    F = field(p, m)
+    for x in F.elements()[1:]:
+        k, cur = 1, x
+        while cur != F.one:
+            cur, k = cur * x, k + 1
+        assert _order_in_field(x) == k
+    with pytest.raises(ValueError):
+        _order_in_field(F.zero)

@@ -9,9 +9,10 @@ element table limit (perm.TABLE_BYTES_LIMIT) and at q = 32 for PSL(2,q)
 and SL(2,q) with exit code 3, and the largest groups inside them,
 PSL(2,32) and SL(2,32), must build their tables.  The limit counts the
 right-multiplication maps too, one |G|-long int32 array per generator, so
-a group with many repeated generators stops there as well.  Frob(181,3) and C61,
-small groups with many classes of large element order, must run the
-whole pipeline, validation included.
+a group with many repeated generators stops there as well.  C2048 and
+C4096 pass both build limits, and the 64-class limit must refuse them with
+exit code 4.  Frob(181,3) and C61, small groups with many classes of
+large element order, must run the whole pipeline, validation included.
 """
 
 import json
@@ -93,6 +94,10 @@ def test_fov_at_many_classes(spec, k):
     # 8192 elements on 8192 points: the table alone is 256 MiB, and the
     # right-multiplication map takes it past the limit
     ("C8192", 3, "element table limit"),
+    # inside both build limits, but past the 64-class limit, which must
+    # refuse them before any power map is walked
+    ("C2048", 4, "2048 classes exceeds the supported maximum of 64"),
+    ("C4096", 4, "4096 classes exceeds the supported maximum of 64"),
     ("PSL(2,32)", 0, ""),
     ("SL(2,32)", 0, ""),
 ])

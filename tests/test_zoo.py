@@ -1,8 +1,11 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
 
 from charfield import perm
+from charfield.arith import factorize
 from charfield.perm import (
     GroupTooLargeError,
     conjugacy_classes,
@@ -191,3 +194,59 @@ def test_product_checks_the_cap_before_enumerating(monkeypatch):
     with pytest.raises(GroupTooLargeError, match="closure exceeded the cap of 1000000 elements"):
         product(factors)
     assert orders == []
+
+
+# sha256 of json.dumps([degree, [images of each generator]]) with compact
+# separators, recorded when FieldElem multiplied polynomials and reduced them
+# modulo the field's modulus; the log-table arithmetic must reproduce every
+# generator permutation
+GENERATOR_DIGESTS = {
+    "PSL(2,4)": "98a548ec097575d99c26a66ceea1aa7e1fadec460801e11602abdad77a2b3ab0",
+    "SL(2,4)": "4126e8e55d08a937a71d20be8895752f5237550e53d4c670ee984175142c2e8c",
+    "PSL(2,5)": "15d8bca122f138d283102a19bb875d4b7502270a87777539891312cd6277c7f3",
+    "SL(2,5)": "0d2e2e4aaeecfb7c9f27b14f537439e07ccb195ff2f2a9be8b824da63a7d6772",
+    "PSL(2,7)": "ce72e5df19801f20c9669384adc8d621c18fa54f2f5e00fa90e8dc347ea7c196",
+    "SL(2,7)": "ba68cb5cf5d03d043c00bceddd5e072abb4881a21a8e9fc66135bb3288642307",
+    "PSL(2,8)": "292e805f200b6f11d85ecc33746e169ab91ab47ff79741e0ca1cc90516438a6b",
+    "SL(2,8)": "bb8321aa7d972fa71a6739ab7d3d9882ef2f2753d3e290dc42e522db7f7643e9",
+    "PSL(2,9)": "f3f4f11f165f3a0ba1c02bf2ca618237170fe846b2032f29b7f51f9163211776",
+    "SL(2,9)": "54004512f69963ced78c3c3c58788124f05def45d87aa8a41fbaf68fb1c79757",
+    "PSL(2,11)": "536de2e02dbb002e5ff4f48c17d4822b1e27fc41c580990ac2b072fe5cf38829",
+    "SL(2,11)": "df4d01c91105ab4c05acd5877b6f7e0afeff507b9ae91c2eed1d4a1f7292df17",
+    "PSL(2,13)": "18174ee42528a70c4461ca9271052baf3f754f77f23ad362a48eaf157117a7f5",
+    "SL(2,13)": "8330371fb7b9de841d49c56c6e5f268c0a53857940747395410750be0bbf9215",
+    "PSL(2,16)": "5ee183a42694564bc6b4d76f91890d973ee5da9115a22f386b16ab7a19d4be25",
+    "SL(2,16)": "ae58685e7d4f029a63bc8e9ddc864b8f5b0f1e04ba3f5fc9d72a7a9345936af5",
+    "PSL(2,17)": "74f9a3c963c0252b19a2bf651ac662e0a5f97214f1b0e26c97a83079bb1424a3",
+    "SL(2,17)": "b6dd43169b6ab921506f069c964eb2d79b0b369f753f7b1b09ccd22201c19a59",
+    "PSL(2,19)": "248849da659f59627f29347b138ccdc204fe6b64bf70a6e36dc1c71033adf86a",
+    "SL(2,19)": "21c05b04408029d19ed35e7e69298964969a073d37fd68ba366768dfbe40aba5",
+    "PSL(2,23)": "062a3bdc2269e85a9c2e7997d0869f7a80bc1caa1bb85e765b138ad37a2006ef",
+    "SL(2,23)": "75f38b4a3d28a0decd568f166c7fc10065f4065affcf9499a56fcc9fe8fdb245",
+    "PSL(2,25)": "e101e38e3c9a05aa5fb54243b1de12f5844a71c93449a99bb0a11d5a169efd30",
+    "SL(2,25)": "6344213b0efe6f9e6cc1989cbffd3c00a59c69b8c2a7a7b931ef9bbfc3bd8a74",
+    "PSL(2,27)": "605a90e1aef15a7701577ebe7934e6bdce6ee1a57fdb584bc8386edec843cd7d",
+    "SL(2,27)": "0b695af1095f4015808a22be76ce411834d04d266fa134f4095140aa24206163",
+    "PSL(2,29)": "feefed9ff817cdb65b9ba2d97e85bdd23bc0d3c0dca81774743fc7b6cc3a9371",
+    "SL(2,29)": "560f43f59f853cfd494432c58f0118c8d1a6c3620395c3b2c581c906c93803ab",
+    "PSL(2,31)": "f820d915333414b8c810ae147b01acd82f1d4b9ff4660713c405eb4e2647afcf",
+    "SL(2,31)": "8747104cfc96c2f7518856d424ed7dfd7e16a2d2622f801d7bf2893fd89cd831",
+    "PSL(2,32)": "6ed1d31d91b177be8fe26142420c8a88c1073adaecc24252b4e64a446f89faf0",
+    "SL(2,32)": "a7ce0f8b18c51a6ec9c10c58837dcc1f7b8fc65f4456e63a8410b328126aa903",
+    "Sz(8)": "6ef43972df4a0d6ea00bedc0c85887587b99d65a87083ba5da69cb63719dd691",
+}
+
+
+def _generator_digest(degree, perms):
+    text = json.dumps([degree, [list(g.images) for g in perms]], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_matrix_group_generators_match_their_recorded_digests():
+    got = {}
+    for q in range(4, 33):
+        if len(factorize(q)) == 1:
+            got[f"PSL(2,{q})"] = _generator_digest(*psl2.generators(q))
+            got[f"SL(2,{q})"] = _generator_digest(*sl2.generators(q))
+    got["Sz(8)"] = _generator_digest(*sz.generators(8))
+    assert got == GENERATOR_DIGESTS
