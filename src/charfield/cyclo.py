@@ -344,12 +344,31 @@ def _from_reduced(n: int, vec: list[int], den: int) -> Cyclo:
 
 
 def root_of_unity(n: int, k: int = 1) -> Cyclo:
-    """zeta_n^k as an exact value (canonicalized)."""
+    """zeta_n^k as an exact value, built at its minimal conductor without a
+    descent.
+
+    zeta_n^k = zeta_m^j with m = n/gcd(n, k) and j = k/gcd(n, k), which is
+    coprime to m: a primitive m-th root of unity.  The roots of unity in Q_d
+    are the lcm(2, d)-th ones, so zeta_m lies in Q_d iff m | lcm(2, d).  If
+    m is odd, m | 2d gives m | d; if 4 | m, then 4 | lcm(2, d) forces
+    2 | d, so lcm(2, d) = d.  Either way m | d, so for m != 2 (mod 4) the
+    minimal conductor is m and the value is z^j reduced mod Phi_m.  If
+    m = 2h with h odd, zeta_h^((h+1)/2) = exp(2 pi i (h+1)/(2h)) = -zeta_m,
+    and j is odd, so zeta_m^j = -zeta_h^(j(h+1)/2), at conductor h (h = 1
+    gives -1).  A value reduced mod Phi at its minimal conductor is the
+    canonical form, so this is what the descent from z^k mod Phi_n gives.
+    """
     if n < 1:
         raise ValueError("order of the root must be positive")
-    dense = [0] * n
-    dense[k % n] = 1
-    return _from_dense(n, dense)
+    g = gcd(n, k)
+    m = n // g
+    j, sign = k // g % m, 1
+    if m % 4 == 2:
+        m //= 2
+        j, sign = j * ((m + 1) // 2) % m, -1
+    dense = [0] * m
+    dense[j] = sign
+    return Cyclo(m, tuple(_reduce_mod_phi(m, dense)), 1)
 
 
 def cyclo_from_root_counts(n: int, counts) -> Cyclo:

@@ -1,17 +1,23 @@
 """Permutation groups by full element enumeration.
 
-Groups are stored as a complete element table: one int32 row of images per
-element.  Element ids are breadth-first from the identity with generators
-applied in the given order, so repeated enumeration of the same generator
-list reproduces identical ids, class numbering and downstream tables.
+Element ids are breadth-first from the identity with generators applied in
+the given order, so repeated enumeration of the same generator list
+reproduces identical ids, class numbering and downstream tables.
 
 Enumeration starts with a stabilizer chain (schreier_sims), which gives
 |G| and a base (a short point list whose images fix an element uniquely)
 before any element is stored; a group past the element cap stops there.
 The breadth-first search then deduplicates products by their sifted base
-images, a dense key in [0, |G|), and gathers full rows only for new
-elements.  The group keeps the chain and the id of each key, so every
-later lookup sifts base images the same way; see PermGroup.
+images, a dense key in [0, |G|).  The group keeps the chain, the id of
+each key and the key of each id, so every later lookup sifts base images
+the same way; see PermGroup.
+
+No element table is stored.  An element is its chain key: with
+key = c_0 * |G^(1)| + r it is x = u_{c_0} * y, u_{c_0} the level-0
+transversal element and y the element of the first point stabilizer G^(1)
+with key r, so x(p) = F_0[c_0][T_1[r][p]] for the level-0 forward
+transversal F_0 (|Delta_0| x degree int32) and the rows T_1 of G^(1) in
+key order (|G^(1)| x degree int32); see PermGroup.rows_of.
 
 The search also keeps what it walks: the right-multiplication maps
 right[i][x] = id(x * g_i), |G| * #generators int32, and its tree, the
@@ -22,8 +28,9 @@ see PermGroup.word and chartab.class_multiplication_coefficients.
 
 The element cap (default 10**6) keeps accidental monsters out; the largest
 built-in group, S9, has 362880 elements.  TABLE_BYTES_LIMIT does the same
-for wide groups, whose table and maps, |G| * (degree + #generators) * 4
-bytes, pass the memory of a small machine well inside the element cap.
+for wide groups: |G| * (degree + #generators) * 4 bytes, what an element
+table and the maps would take, passes the memory of a small machine well
+inside the element cap.
 """
 
 from __future__ import annotations
@@ -36,8 +43,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 DEFAULT_CAP = 10**6
-# the element table and the right-multiplication maps take
-# |G| * (degree + #generators) * 4 bytes; SL(2,32) needs 134 MB
+# |G| * (degree + #generators) * 4 bytes, an element table and the
+# right-multiplication maps, may not pass this.  No table is stored, but the
+# limit stays: a regular group's level-0 transversal is as large as its
+# table, and the same formula keeps every refusal (exit code 3) unchanged
 TABLE_BYTES_LIMIT = 1 << 28
 
 
@@ -116,29 +125,33 @@ class Permutation:
 
 
 # Sifting a row of k base images takes k(k-1)/2 gathers.  In blocks of
-# this many rows their temporaries stay small and in cache; sifting one
-# conjugation map of S9 (362880 rows, an 8-point base) in one pass took
+# this many rows their temporaries stay small and in cache; sifting the base
+# images of all 362880 elements of S9 (an 8-point base) in one pass took
 # 0.069 s against 0.044 s in blocks, on a 2-CPU machine.
 SIFT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
 class StabilizerChain:
-    """A base of G with its basic orbits and inverse transversals.
+    """A base of G with its basic orbits and transversals.
 
     Level i holds the base point b_i and its basic orbit Delta_i, the orbit
     of b_i under G^(i), the pointwise stabilizer of b_0..b_{i-1} in G, with
-    b_i first.  inv_transversals[i][c] is the row of u^-1 for an element u
-    of G^(i) sending b_i to Delta_i[c]; row 0 is the identity.  |G| is the
-    product of the orbit lengths (Lagrange, level by level, with G^(k)
-    trivial), and every x in G sifts to positions (c_0, ..., c_{k-1}): c_i
-    is where the image of b_i, after the sifts above, sits in Delta_i.
+    b_i first.  transversals[i][c] is the row of an element u_c of G^(i)
+    sending b_i to Delta_i[c], and inv_transversals[i][c] the row of u_c^-1
+    for every level but the last, which keys never reads (for a regular
+    group it would be as large as an element table); row 0 is the
+    identity.  |G| is the product of the orbit lengths (Lagrange, level by
+    level, with G^(k) trivial), and every x in G sifts to positions
+    (c_0, ..., c_{k-1}): c_i is where the image of b_i, after the sifts
+    above, sits in Delta_i.
     """
 
     degree: int
     base: tuple[int, ...]
     orbits: tuple[np.ndarray, ...]
-    inv_transversals: tuple[np.ndarray, ...]  # |Delta_i| x degree int32 each
+    transversals: tuple[np.ndarray, ...]      # |Delta_i| x degree int32 each
+    inv_transversals: tuple[np.ndarray, ...]  # the same, i < k - 1
     positions: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -198,50 +211,57 @@ class _Level:
         self.check_size = check_size   # check_size(level, m) before storing point m
         self.ident = np.arange(degree, dtype=np.int32)
         self.point = point
-        self.gens: list[tuple[np.ndarray, np.ndarray]] = []  # (s, s^-1)
+        self.gens: list[np.ndarray] = []
         self.checked: list[int] = []   # per generator: orbit positions done
         self.orbit = [point]
         self.position = np.full(degree, -1, dtype=np.intp)
         self.position[point] = 0
-        self.inv = [self.ident]        # u_c^-1, where u_c sends point to orbit[c]
+        self.fwd = [self.ident]        # u_c, which sends point to orbit[c]
+        self.inv = {0: self.ident}     # u_c^-1, for the c used so far
         self.tree: set[tuple[int, int]] = set()  # (c, i): generator i found a point from orbit[c]
 
-    def add(self, s: np.ndarray, s_inv: np.ndarray) -> None:
+    def add(self, s: np.ndarray) -> None:
         """Add a generator and close the orbit under all of them.
 
         check_size runs before each orbit point and its transversal row are
         stored, so a group too large stops before its rows do.
         """
         old = len(self.orbit)
-        self.gens.append((s, s_inv))
+        self.gens.append(s)
         self.checked.append(0)
         last = len(self.gens) - 1
         c = 0
         while c < len(self.orbit):
             beta = self.orbit[c]
             for i in range(0 if c >= old else last, last + 1):
-                gamma = int(self.gens[i][0][beta])
+                gamma = int(self.gens[i][beta])
                 if self.position[gamma] < 0:
                     self.check_size(self, len(self.orbit) + 1)
                     self.position[gamma] = len(self.orbit)
                     self.orbit.append(gamma)
-                    self.inv.append(self.inv[c][self.gens[i][1]])
+                    self.fwd.append(self.gens[i][self.fwd[c]])  # s * u_c
                     self.tree.add((c, i))
             c += 1
+
+    def inverse(self, c: int) -> np.ndarray:
+        """u_c^-1, inverted from u_c on first use."""
+        inv = self.inv.get(c)
+        if inv is None:
+            inv = self.inv[c] = np.empty_like(self.ident)
+            inv[self.fwd[c]] = self.ident
+        return inv
 
     def schreier_generators(self):
         """Yield u_{s(beta)}^-1 s u_beta for every pair not yet yielded, except
         the tree edges: if s first reached s(beta) from beta, then
         u_{s(beta)} = s u_beta and the generator is the identity."""
-        for i, (s, _) in enumerate(self.gens):
+        for i, s in enumerate(self.gens):
             while self.checked[i] < len(self.orbit):
                 c = self.checked[i]
                 self.checked[i] += 1
                 if (c, i) in self.tree:
                     continue
-                u = np.empty_like(self.ident)
-                u[self.inv[c]] = self.ident
-                yield self.inv[self.position[s[self.orbit[c]]]][s[u]]
+                yield self.inverse(int(self.position[s[self.orbit[c]]]))[s[self.fwd[c]]]
 
 
 def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> StabilizerChain:
@@ -279,10 +299,12 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     in the final Delta_i, of length [G^(i) : G^(i+1)], so the product of
     their lengths bounds |G| from below.  It is checked before each new
     orbit point is stored, and GroupTooLargeError is raised as soon as it
-    passes cap or the element table and right-multiplication maps it
-    implies, |G| * (degree + #generators) * 4 bytes, pass TABLE_BYTES_LIMIT;
-    the inverse transversals, at most prod |Delta_i| + k rows, stay within
-    the same limit.
+    passes cap or |G| * (degree + #generators) * 4 bytes, the size of an
+    element table and its right-multiplication maps, passes
+    TABLE_BYTES_LIMIT; each of the two transversals, at most
+    prod |Delta_i| + k rows, stays within the same limit.  A level stores
+    the forward transversal, and inverts a row on first use; at the end the
+    inverse transversals of all levels but the last are completed.
     """
     generators = list(generators)
     ident = np.arange(degree, dtype=np.int32)
@@ -304,17 +326,15 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
             c = levels[j].position[h[levels[j].point]]
             if c < 0:
                 break
-            h = levels[j].inv[c][h]
+            h = levels[j].inverse(int(c))[h]
             j += 1
         else:
             moved = np.flatnonzero(h != ident)
             if not len(moved):
                 return
             levels.append(_Level(int(moved[0]), degree, check_size))
-        h_inv = np.empty_like(h)
-        h_inv[h] = ident
         for level in levels[lo:j + 1]:
-            level.add(h, h_inv)
+            level.add(h)
         for i in range(j, lo - 1, -1):
             for y in levels[i].schreier_generators():
                 insert(y, i + 1)
@@ -325,8 +345,16 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
         degree=degree,
         base=tuple(level.point for level in levels),
         orbits=tuple(np.array(level.orbit, dtype=np.intp) for level in levels),
-        inv_transversals=tuple(np.array(level.inv, dtype=np.int32) for level in levels),
+        transversals=tuple(np.array(level.fwd, dtype=np.int32) for level in levels),
+        inv_transversals=tuple(
+            np.array([level.inverse(c) for c in range(len(level.orbit))], dtype=np.int32)
+            for level in levels[:-1]),
     )
+
+
+# rows_of's callers that read every element take the rows in blocks of this
+# many entries, 4 MiB of int32 whatever the degree
+ROW_BLOCK = 1 << 20
 
 
 class PermGroup:
@@ -342,31 +370,45 @@ class PermGroup:
 
     A row of base images t is sifted through the stabilizer chain
     (StabilizerChain.keys), and id_of_key maps the dense key to the id.  The
-    chain is kept without its last level's inverse transversal, which keys
-    never reads and which for a regular group is as large as the table.  A
-    miss is reported exactly: t passes every orbit check only if applying
+    chain has no inverse transversal at its last level, which keys never
+    reads, and the group keeps it without its forward transversals.  A miss
+    is reported exactly: t passes every orbit check only if applying
     u_{c_0}^-1, ..., u_{c_{k-1}}^-1 pointwise maps t to the base b (each
     inverse sends its orbit point to b_j, and the later levels fix b_j).
     Then t = y(b) for y = u_{c_0} ... u_{c_{k-1}} in G.  Conversely, every
     element's base images pass the checks, and the base separates G.
 
+    No row is stored: an element is its key.  The key of x is
+    c_0 * |G^(1)| + r, where r is the key of y = u_{c_0}^-1 x in the chain
+    of G^(1) (levels 1 and on), so x = u_{c_0} y and
+    x(p) = F_0[c_0][T_1[r][p]] (rows_of).  F_0 is the level-0 forward
+    transversal, and T_1 the rows of G^(1) in key order, built once from the
+    forward transversals of levels 1 and on (_factor_tables); key_of_id
+    inverts id_of_key.  They take (|Delta_0| + |G^(1)|) * degree * 4 bytes
+    and |G| * 4 for the keys, where a table took |G| * degree * 4: A9
+    0.7 MiB against 6.2, SL(2,25) 1.5 against 37 and SL(2,32) 4.1 against
+    128.  A regular group saves nothing: its single orbit is G, so F_0, at
+    |G| * degree * 4 bytes, is its table (C4096: 64 MiB).  An empty base
+    makes F_0 and T_1 the identity row.
+
     The closure's right-multiplication maps and breadth-first tree are kept
-    too (see _closure_rows): right[i][x] is the id of x * g_i, and element z
+    too (see _closure): right[i][x] is the id of x * g_i, and element z
     is parent[z] * g_{parent_gen[z]} with parent[z] < z.  They take
-    |G| * (4 * #generators + 5) bytes, against |G| * degree * 4 for rows.
+    |G| * (4 * #generators + 5) bytes.
     """
 
-    def __init__(self, degree: int, generators: list[Permutation], rows: np.ndarray,
-                 chain: StabilizerChain, id_of_key: np.ndarray, right: np.ndarray,
-                 parent: np.ndarray, parent_gen: np.ndarray):
+    def __init__(self, degree: int, generators: list[Permutation], chain: StabilizerChain,
+                 f0: np.ndarray, t1: np.ndarray, id_of_key: np.ndarray, key_of_id: np.ndarray,
+                 right: np.ndarray, parent: np.ndarray, parent_gen: np.ndarray):
         self.degree = degree
         self.generators = tuple(generators)
-        self.rows = rows          # order x degree int32, row 0 = identity
-        self.order = rows.shape[0]
+        self.order = len(key_of_id)
         self.chain = chain
         self.base = chain.base
-        self._base_cols = np.array(self.base, dtype=np.intp)
+        self._f0 = f0                # |Delta_0| x degree int32: u_c, level 0
+        self._t1 = t1                # |G^(1)| x degree int32: G^(1) in key order
         self._id_of_key = id_of_key  # chain key -> element id
+        self._key_of_id = key_of_id  # element id -> chain key
         self.right = right           # #generators x order int32: id of x * g_i
         self.parent = parent         # order int32: breadth-first tree, parent[0] = 0
         self.parent_gen = parent_gen  # order: z = parent[z] * g_{parent_gen[z]}
@@ -374,6 +416,22 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+    def rows_of(self, ids, points=None) -> np.ndarray:
+        """The rows of the elements with the given ids, one per id; given
+        points, only their images there: x(p) for one row of points shared
+        by every id, or for one row of points per id.
+
+        Two gathers, x(p) = F_0[c_0][T_1[r][p]] for x's key c_0 * |G^(1)| + r
+        (see the class docstring).
+        """
+        c0, r = np.divmod(self._key_of_id[np.asarray(ids, dtype=np.intp)], len(self._t1))
+        if points is None:
+            points = np.arange(self.degree, dtype=np.int32)
+        # r * degree + p < |G^(1)| * degree and c_0 * degree + p < |Delta_0| *
+        # degree, both at most |G| * degree <= 2**26 (TABLE_BYTES_LIMIT / 4)
+        inner = self._t1.ravel().take(points + (r * self.degree)[:, None])
+        return self._f0.ravel().take(inner + (c0 * self.degree)[:, None])
 
     def ids_of_base_images(self, images) -> np.ndarray:
         """Ids of the elements of G with the given base images, one row each.
@@ -404,7 +462,7 @@ class PermGroup:
 
     def element(self, i: int) -> Permutation:
         p = Permutation.__new__(Permutation)
-        p.images = tuple(int(x) for x in self.rows[i])
+        p.images = tuple(self.rows_of([i])[0].tolist())
         return p
 
     def _find(self, perm: Permutation) -> int:
@@ -426,16 +484,22 @@ class PermGroup:
         return self._find(perm) >= 0
 
     def mul(self, i: int, j: int) -> int:
-        """Id of x*y for element ids x, y."""
-        return int(self.ids_of_base_images([self.rows[i][self.rows[j, self._base_cols]]])[0])
+        """Id of x*y for element ids x, y: with y = g_{a_1} ... g_{a_m} (word),
+        x*y is x right-multiplied by each letter in turn, one map read each."""
+        for a in self.word(j):
+            i = self.right[a, i]
+        return int(i)
 
     @property
     def inv_ids(self) -> np.ndarray:
         if self._inv_ids is None:
             images = np.empty((self.order, len(self.base)), dtype=np.int32)
-            for c, b in enumerate(self.base):
-                # x^-1(b) is the point that x sends to b
-                images[:, c] = (self.rows == b).argmax(axis=1)
+            step = max(1, ROW_BLOCK // max(1, self.degree))
+            for lo in range(0, self.order, step):
+                rows = self.rows_of(np.arange(lo, min(lo + step, self.order)))
+                for c, b in enumerate(self.base):
+                    # x^-1(b) is the point that x sends to b
+                    images[lo:lo + len(rows), c] = (rows == b).argmax(axis=1)
             self._inv_ids = self.ids_of_base_images(images)
         return self._inv_ids
 
@@ -444,55 +508,91 @@ class PermGroup:
 
 
 def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGroup:
-    """The element table of <generators>, in breadth-first order from the identity.
+    """The group <generators>, its elements in breadth-first order from the
+    identity.
 
     A stabilizer chain (schreier_sims) comes first: it gives |G| and a base
-    before any element is stored, and a group past cap stops there.  Then
-    the breadth-first closure runs, applying the generators in the given
-    order to each element of the frontier in turn (x-major), into a
-    preallocated |G| x degree table; see _closure_rows.
+    before any element is stored, and a group past cap stops there.  F_0 and
+    T_1 are read off its forward transversals (_factor_tables).  Then the
+    breadth-first closure runs, applying the generators in the given order
+    to each element of the frontier in turn (x-major); see _closure.
     """
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     for g in gens:
         if g.degree != degree:
             raise ValueError("generator degree mismatch")
     chain = schreier_sims(degree, gens, cap)
-    # keys never reads the last level's inverse transversal
-    chain = replace(chain, inv_transversals=chain.inv_transversals[:-1])
-    return PermGroup(degree, gens, chain=chain, **_closure_rows(chain, gens))
+    f0, t1 = _factor_tables(chain)
+    # F_0 and T_1 hold all that rows_of reads of the forward transversals
+    chain = replace(chain, transversals=())
+    return PermGroup(degree, gens, chain=chain, f0=f0, t1=t1, **_closure(chain, f0, t1, gens))
 
 
-def _closure_rows(chain: StabilizerChain, gens: list[Permutation]) -> dict:
-    """Rows of every element, ids in breadth-first order, identity first; the
-    id of each chain key; and the right-multiplication maps and tree.
+def _factor_tables(chain: StabilizerChain) -> tuple[np.ndarray, np.ndarray]:
+    """F_0, the level-0 forward transversal, and T_1, the rows of G^(1) in
+    key order.
+
+    Level i's element with positions c_i, ..., c_{k-1} is
+    u_{c_i} u_{c_{i+1}} ... u_{c_{k-1}} (StabilizerChain.keys), so the rows
+    T_i of G^(i) in key order are T_i[c * |G^(i+1)| + r] = u_c[T_{i+1}[r]],
+    one gather per level from T_k, the identity row.  An empty base makes
+    both the identity row.
+    """
+    ident = np.arange(chain.degree, dtype=np.int32)[None, :]
+    t = ident
+    for fwd in reversed(chain.transversals[1:]):
+        t = fwd[:, t].reshape(-1, chain.degree)
+    return (chain.transversals[0] if chain.base else ident), t
+
+
+def _closure(chain: StabilizerChain, f0: np.ndarray, t1: np.ndarray,
+             gens: list[Permutation]) -> dict:
+    """Ids in breadth-first order, identity first: the id of each chain key
+    and the key of each id, and the right-multiplication maps and tree.
 
     The products x*g of a frontier are taken x-major and deduplicated by
-    their chain keys, which are distinct on G: only the base images
-    x(g(b)) are gathered and sifted, a product is new when its key has no
-    id yet, and within a frontier the first occurrence of each key wins,
-    as in a scan over full rows.  Full rows are gathered for new elements
-    only.  Once a frontier's new elements have ids, the ids of all its
-    products give right[i][x] = id(x * g_i) for each x in the frontier;
-    a new element z = x * g_i records parent[z] = x and parent_gen[z] = i,
-    and x came from an earlier frontier, so parent[z] < z.  Every level
-    writes these arrays by slices.  A count other than |G| raises
-    ArithmeticError.
+    their chain keys, which are distinct on G: a product is new when its key
+    has no id yet, and within a frontier the first occurrence of each key
+    wins, as in a scan over full rows.  Only the base images x(g(b)) are
+    read and sifted: F_0[c_0][T_1[r][p]] for x's key c_0 * |G^(1)| + r,
+    two flat gathers at each distinct point p = g_i(b_j), with T_1's columns
+    at those points taken once.  Once a frontier's new elements have ids,
+    the ids of all its products give right[i][x] = id(x * g_i) for each x in
+    the frontier; a new element z = x * g_i records parent[z] = x and
+    parent_gen[z] = i, and x came from an earlier frontier, so
+    parent[z] < z.  Every level writes these arrays by slices.  A count
+    other than |G| raises ArithmeticError.
     """
     order, degree, k, n_gens = chain.order, chain.degree, len(chain.base), len(gens)
-    rows = np.empty((order, degree), dtype=np.int32)
-    rows[0] = np.arange(degree)
     id_of_key = np.full(order, -1, dtype=np.int32)
-    id_of_key[chain.keys([chain.base])] = 0
+    key_of_id = np.empty(order, dtype=np.int32)
+    # the identity's positions are all 0: b_i comes first in Delta_i
+    id_of_key[0] = key_of_id[0] = 0
     right = np.empty((n_gens, order), dtype=np.int32)
     parent = np.zeros(order, dtype=np.int32)
     parent_gen = np.zeros(order, dtype=np.min_scalar_type(max(n_gens - 1, 0)))
     count, lo = 1, 0
     if gens:
-        gmat = np.array([g.images for g in gens], dtype=np.int32)
-        g_base = gmat[:, list(chain.base)]
+        # the distinct points g_i(b_j), where[i][j] the index of g_i(b_j)
+        # among them, and T_1's column at each
+        points, where = np.unique(np.array([g.images[b] for g in gens for b in chain.base],
+                                           dtype=np.intp), return_inverse=True)
+        where = where.reshape(n_gens, k)
+        t1_at = np.ascontiguousarray(t1[:, points].T)
+        f0_flat = f0.ravel()
         while lo < count:
-            frontier = rows[lo:count]
-            keys = chain.keys(frontier[:, g_base].reshape(len(frontier) * n_gens, k))
+            c0, r = np.divmod(key_of_id[lo:count], len(t1))
+            offset = c0 * degree
+            # at[q][x] = x(points[q]) for the frontier's x
+            at = np.empty((len(points), count - lo), dtype=np.int32)
+            for q, column in enumerate(t1_at):
+                f0_flat.take(column.take(r) + offset, out=at[q])
+            # (x * g_i)(b_j) = x(g_i(b_j)); each generator's base images are
+            # sifted as one column per base point, and the keys read x-major
+            keys = np.empty((count - lo, n_gens), dtype=np.int64)
+            for i, w in enumerate(where):
+                keys[:, i] = chain.keys(at.take(w, axis=0).T)
+            keys = keys.ravel()
             ids = id_of_key[keys]
             fresh = (ids < 0).nonzero()[0]
             fresh_keys = keys[fresh]
@@ -501,20 +601,16 @@ def _closure_rows(chain: StabilizerChain, gens: list[Permutation]) -> dict:
             new = fresh[first]
             end = count + len(new)
             id_of_key[fresh_keys[first]] = np.arange(count, end)
+            key_of_id[count:end] = fresh_keys[first]
             ids[fresh] = id_of_key[fresh_keys]
-            right[:, lo:count] = ids.reshape(len(frontier), n_gens).T
+            right[:, lo:count] = ids.reshape(count - lo, n_gens).T
             x, g = np.divmod(new, n_gens)
             parent[count:end] = x + lo
             parent_gen[count:end] = g
-            block = rows[count:end]
-            for i, images in enumerate(gmat):
-                # x*g_i(p) = x(g_i(p)): permute the columns of x's rows
-                sel = (g == i).nonzero()[0]
-                block[sel] = np.take(frontier[x[sel]], images, axis=1)
             lo, count = count, end
     if count != order:
         raise ArithmeticError(f"the closure has {count} elements, the chain's order is {order}")
-    return dict(rows=rows, id_of_key=id_of_key, right=right, parent=parent,
+    return dict(id_of_key=id_of_key, key_of_id=key_of_id, right=right, parent=parent,
                 parent_gen=parent_gen)
 
 
@@ -560,8 +656,9 @@ def _base_walk(group: PermGroup, xs):
 
     The base separates G, so x^t is the identity exactly when it fixes the
     base, and the walk b, x(b), x^2(b), ... of x first returns at t = o(x);
-    x leaves the walk there.  Each t is one gather for every x still
-    walking.  An empty base (the trivial group) walks one step.
+    x leaves the walk there.  Each t is one rows_of call for every x still
+    walking, at the walked points only, so no full row is read.  An empty
+    base (the trivial group) walks one step.
     """
     xs = np.asarray(xs, dtype=np.intp)
     base = np.array(group.base, dtype=np.int32)
@@ -569,13 +666,49 @@ def _base_walk(group: PermGroup, xs):
     cur = np.tile(base, (len(xs), 1))
     while live.size:
         yield live, cur
-        cur = group.rows[xs[live][:, None], cur]
+        cur = group.rows_of(xs[live], cur)
         walking = ~(cur == base).all(axis=1)
         live, cur = live[walking], cur[walking]
 
 
+def _left_maps(group: PermGroup, hs) -> np.ndarray:
+    """L[j][z] = id(h_j * z) for the element ids h_j, one row each, read off
+    the breadth-first tree without a sift.
+
+    z = parent[z] * g_a gives h * z = (h * parent[z]) * g_a, so
+    L[j][z] = right[a][L[j][parent[z]]], from L[j][0] = h_j.  The closure
+    records each frontier's new elements in the order of their parents, so
+    parent is nondecreasing; with L filled below hi, every z with
+    parent[z] < hi, the run of ids up to searchsorted(parent, hi), can be
+    filled next.  That run is the next breadth-first level, and it includes
+    hi itself, as parent[hi] < hi, so each step is one gather and the fill
+    ends after depth-of-the-tree steps.
+    """
+    hs = np.asarray(hs, dtype=np.int32)
+    out = np.empty((len(hs), group.order), dtype=np.int32)
+    out[:, 0] = hs
+    hi = 1
+    while hi < group.order:
+        end = int(np.searchsorted(group.parent, hi))
+        z = slice(hi, end)
+        out[:, z] = group.right[group.parent_gen[z], out[:, group.parent[z]]]
+        hi = end
+    return out
+
+
+def _conjugation_maps(group: PermGroup) -> np.ndarray:
+    """[i][x] = id(g_i^-1 x g_i): right[i] after the left map of g_i^-1.
+
+    Only the generators' inverses are sifted; no conjugate is.
+    """
+    inv_base = [[g.inverse().images[b] for b in group.base] for g in group.generators]
+    inv_ids = group.ids_of_base_images(
+        np.array(inv_base, dtype=np.int32).reshape(len(inv_base), len(group.base)))
+    return np.take_along_axis(group.right, _left_maps(group, inv_ids), axis=1)
+
+
 def conjugacy_classes(group: PermGroup) -> ClassData:
-    """Partition of the element table into conjugation orbits.
+    """Partition of G into conjugation orbits.
 
     Classes are ordered by (element order, class size, smallest element id);
     the identity class is always first.
@@ -588,17 +721,13 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
     constant on each orbit of the maps, which is a class, and as it lies in
     the class and below every id there, it is the class's smallest id.
 
-    The representatives' orders come from one batched walk of their base
-    images (_base_walk), which keeps nothing; ClassData.powers walks again
-    on first use.
+    The conjugation maps come from the tree (_conjugation_maps), so no
+    conjugate is sifted.  The representatives' orders come from one batched
+    walk of their base images (_base_walk), which keeps nothing;
+    ClassData.powers walks again on first use.
     """
-    conj_maps = []
-    for g in group.generators:
-        g_base = [g.images[b] for b in group.base]
-        ginv = np.array(g.inverse().images, dtype=np.int32)
-        # (g^-1 x g)(b) = g^-1(x(g(b))) for every x
-        conj_maps.append(group.ids_of_base_images(ginv[group.rows[:, g_base]]))
-    lab = np.arange(group.order)
+    conj_maps = _conjugation_maps(group)
+    lab = np.arange(group.order, dtype=np.int32)
     while True:
         new = lab
         for cmap in conj_maps:
@@ -607,7 +736,11 @@ def conjugacy_classes(group: PermGroup) -> ClassData:
         if np.array_equal(new, lab):
             break
         lab = new
-    seeds, class_of = np.unique(lab, return_inverse=True)
+    # a class's smallest id is the one element labelled with itself
+    seeds = np.flatnonzero(lab == np.arange(group.order))
+    rank = np.empty(group.order, dtype=np.int32)
+    rank[seeds] = np.arange(len(seeds))
+    class_of = rank[lab]
     sizes = np.bincount(class_of).tolist()
     orders = np.zeros(len(seeds), dtype=np.int64)
     for live, _ in _base_walk(group, seeds):

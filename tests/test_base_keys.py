@@ -11,21 +11,26 @@ from charfield.perm import Permutation, conjugacy_classes, enumerate_group
 from charfield.zoo import build
 
 
+def all_rows(group):
+    """Every element's row, in id order."""
+    return group.rows_of(np.arange(group.order))
+
+
 def row_index(group):
     """Brute-force oracle: element id by its whole row."""
-    return {row.tobytes(): i for i, row in enumerate(group.rows)}
+    return {row.tobytes(): i for i, row in enumerate(all_rows(group))}
 
 
 @pytest.mark.parametrize("spec", ["S4", "A5", "F21", "Sz(8)"])
 def test_base_images_match_full_rows(spec):
     g = build(spec)
-    full = row_index(g)
+    full, rows = row_index(g), all_rows(g)
     # pointwise stabilizer of the base is trivial
-    assert np.all(g.rows[:, list(g.base)] == g.base, axis=1).sum() == 1
-    inv_rows = np.argsort(g.rows, axis=1).astype(np.int32)
+    assert np.all(rows[:, list(g.base)] == g.base, axis=1).sum() == 1
+    inv_rows = np.argsort(rows, axis=1).astype(np.int32)
     assert g.inv_ids.tolist() == [full[r.tobytes()] for r in inv_rows]
     for z in conjugacy_classes(g).reps:
-        prods = inv_rows[:, g.rows[z]]  # x^-1 z for every x, whole rows
+        prods = inv_rows[:, rows[z]]  # x^-1 z for every x, whole rows
         want = [full[r.tobytes()] for r in prods]
         assert g.ids_of_base_images(prods[:, list(g.base)]).tolist() == want
 
@@ -33,10 +38,10 @@ def test_base_images_match_full_rows(spec):
 @pytest.mark.parametrize("spec", ["S4", "A5", "F21"])
 def test_mul_matches_composition(spec):
     g = build(spec)
-    full = row_index(g)
+    full, rows = row_index(g), all_rows(g)
     for x in range(g.order):
         for y in range(g.order):
-            assert g.mul(x, y) == full[g.rows[x][g.rows[y]].tobytes()]
+            assert g.mul(x, y) == full[rows[x][rows[y]].tobytes()]
 
 
 def two_level_group():
@@ -54,7 +59,7 @@ def two_level_group():
 def test_lookup_on_4096_points():
     g = two_level_group()
     assert g.order == 64 and g.base == (0, 2, 4, 6, 8, 10)
-    assert g.ids_of_base_images(g.rows[:, list(g.base)]).tolist() == list(range(64))
+    assert g.ids_of_base_images(all_rows(g)[:, list(g.base)]).tolist() == list(range(64))
     assert all(g.id_of(g.element(i)) == i for i in range(64))
     assert all(g.mul(i, g.inverse_id(i)) == 0 for i in range(64))
     classes = conjugacy_classes(g)
@@ -84,7 +89,7 @@ def test_lookup_misses_exactly(spec):
     # miss at any base point raises KeyError, and a hit names the row with
     # those base images
     g = build(spec)
-    ids = {tuple(row): i for i, row in enumerate(g.rows[:, list(g.base)].tolist())}
+    ids = {tuple(row): i for i, row in enumerate(all_rows(g)[:, list(g.base)].tolist())}
     hits = 0
     for t in itertools.product(range(-1, g.degree + 1), repeat=len(g.base)):
         if t in ids:
@@ -98,7 +103,7 @@ def test_lookup_misses_exactly(spec):
 
 def test_lookup_across_sift_blocks():
     g = build("A5")
-    images = g.rows[:, list(g.base)]
+    images = all_rows(g)[:, list(g.base)]
     one_by_one = [int(g.ids_of_base_images([t])[0]) for t in images]
     tiles = perm.SIFT_BLOCK // g.order + 2
     assert len(images) * tiles > perm.SIFT_BLOCK

@@ -39,6 +39,20 @@ def test_root_identities():
     assert root_of_unity(4) * root_of_unity(4) == -1
 
 
+def test_root_of_unity_matches_the_descent():
+    # oracle: the monomial z^k reduced mod Phi_n and walked down by descent
+    from charfield.cyclo import _from_dense
+    for n in range(1, 401):
+        for k in range(n):
+            dense = [0] * n
+            dense[k] = 1
+            want, got = _from_dense(n, dense), root_of_unity(n, k)
+            assert (got.n, got.coeffs, got.den) == (want.n, want.coeffs, want.den), (n, k)
+    # exponents outside [0, n) name the same root
+    for n, k in [(7, -1), (12, -5), (10, 25), (6, -1), (2, 3), (1, -4)]:
+        assert root_of_unity(n, k) == root_of_unity(n, k % n)
+
+
 def test_conductor_reduction():
     # zeta_3 written inside Q_6 comes back at conductor 3
     assert root_of_unity(6, 2).conductor == 3

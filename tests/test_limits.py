@@ -13,8 +13,12 @@ a group with many repeated generators stops there as well.  C2048 and
 C4096 pass both build limits, and the 64-class limit must refuse them with
 exit code 4.  Frob(181,3) and C61, small groups with many classes of
 large element order, must run the whole pipeline, validation included.
+No element table is stored, so the widest group inside the limits,
+SL(2,32), must build its table in well under the 128 MiB its element
+table would take.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +59,23 @@ print(json.dumps({"k": table.k, "failures": validate_table(table).failures,
                   "f": f_value(table, spec).f}))
 """
 
+# the table goes to a buffer, and the child's peak resident set, in KiB, to
+# stdout.  Linux carries ru_maxrss across execve, so a child spawned by a
+# large test process would report that process's peak; VmHWM, the peak of
+# the child's own address space, does not
+MEMORY_CHILD = CAPPED + """
+import contextlib, io, sys
+from charfield.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+except (OSError, StopIteration):
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
 # a JSON group, read from stdin, has no spec to name it, so the child maps
 # the error to the CLI's construction exit code itself
 JSON_CHILD = CAPPED + """
@@ -84,6 +105,14 @@ def test_fov_at_many_classes(spec, k):
     assert direct["bounds"]["k_ge_log2log2"] is True
 
 
+# sha256 of `table SPEC --format json` stdout, recorded when every group
+# stored its full element table
+TABLE_DIGESTS = {
+    "PSL(2,32)": "66a34d7c5bc6989fd031329688b425a226886535a0d431c9121e8414027c8b43",
+    "SL(2,32)": "f00e54c4fa8dbee4d28f8f9249c1e5d70c4925f059e36734f58f1e88f5925313",
+}
+
+
 @pytest.mark.parametrize("spec,code,message", [
     ("S9xC3", 3, "closure exceeded the cap"),  # 1,088,640 elements
     ("S8xC25", 3, "closure exceeded the cap"),  # 1,008,000 elements
@@ -107,6 +136,14 @@ def test_table_at_the_caps(spec, code, message):
     assert message in done.stderr
     if code == 0:
         assert json.loads(done.stdout)["order"] == 32736
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == TABLE_DIGESTS[spec]
+
+
+def test_widest_table_peaks_under_80_mib():
+    # SL(2,32) on 1,023 points: its element table alone would be 128 MiB
+    done = run_capped(MEMORY_CHILD, "table", "SL(2,32)")
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 80 * 1024
 
 
 def test_wide_json_group_stops_at_the_table_limit():

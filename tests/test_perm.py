@@ -22,7 +22,7 @@ from charfield.perm import (
     schreier_sims,
 )
 from charfield.zoo import build, sl2
-from test_base_keys import two_level_group
+from test_base_keys import all_rows, two_level_group
 
 
 def cycle(degree, *cycles):
@@ -218,7 +218,7 @@ def test_non_normal_subgroup_rejected():
 def test_determinism():
     a = enumerate_group(5, A5.generators)
     b = enumerate_group(5, A5.generators)
-    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(all_rows(a), all_rows(b))
     ca, cb = conjugacy_classes(a), conjugacy_classes(b)
     assert ca.reps == cb.reps and ca.sizes == cb.sizes
 
@@ -265,7 +265,8 @@ def chain_group(spec):
 def test_closure_matches_full_row_search(spec):
     g = chain_group(spec)
     want = full_row_closure(g.degree, g.generators)
-    assert g.rows.dtype == want.dtype and g.rows.tobytes() == want.tobytes()
+    rows = all_rows(g)
+    assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
     chain = schreier_sims(g.degree, g.generators)
     assert chain.base == g.base
     assert math.prod(len(orbit) for orbit in chain.orbits) == len(want) == g.order
@@ -274,25 +275,32 @@ def test_closure_matches_full_row_search(spec):
 @pytest.mark.parametrize("spec", CHAIN_GROUPS)
 def test_chain_against_the_element_table(spec):
     # oracle: Delta_i is the set of images of b_i under the elements fixing
-    # b_0..b_(i-1), and inv[c] is such an element sending Delta_i[c] to b_i
+    # b_0..b_(i-1), u[c] is such an element sending b_i to Delta_i[c], and
+    # inv[c] is its inverse, kept for every level but the last, which keys
+    # never reads
     g = chain_group(spec)
     chain = schreier_sims(g.degree, g.generators)
-    rows = {row.tobytes() for row in g.rows}
-    stab = g.rows
-    for i, (b, orbit, inv) in enumerate(zip(chain.base, chain.orbits, chain.inv_transversals)):
+    table = all_rows(g)
+    rows = {row.tobytes() for row in table}
+    stab, ident = table, np.arange(g.degree)
+    assert len(chain.transversals) == len(chain.base)
+    assert len(chain.inv_transversals) == max(len(chain.base) - 1, 0)
+    for i, (b, orbit, u) in enumerate(zip(chain.base, chain.orbits, chain.transversals)):
         assert orbit[0] == b and sorted(orbit.tolist()) == sorted(set(stab[:, b].tolist()))
-        assert np.array_equal(inv[0], np.arange(g.degree))
+        assert np.array_equal(u[0], ident) and len(u) == len(orbit)
         for c, point in enumerate(orbit):
-            assert inv[c][point] == b and inv[c].tobytes() in rows
-            assert all(inv[c][p] == p for p in chain.base[:i])
+            assert u[c][b] == point and u[c].tobytes() in rows
+            assert all(u[c][p] == p for p in chain.base[:i])
+            if i < len(chain.inv_transversals):
+                assert np.array_equal(chain.inv_transversals[i][c][u[c]], ident)
         stab = stab[stab[:, b] == b]
     assert len(stab) == 1  # the base's pointwise stabilizer is trivial
-    keys = chain.keys(g.rows[:, list(chain.base)])
+    keys = chain.keys(table[:, list(chain.base)])
     assert sorted(keys.tolist()) == list(range(g.order))
-    # the group keeps the chain without the last transversal, which keys
-    # never reads, and gets the same keys from it
-    assert len(g.chain.inv_transversals) == max(len(chain.base) - 1, 0)
-    assert np.array_equal(g.chain.keys(g.rows[:, list(chain.base)]), keys)
+    # the group keeps the chain without its forward transversals, which
+    # keys never reads, and gets the same keys from it
+    assert g.chain.transversals == ()
+    assert np.array_equal(g.chain.keys(table[:, list(chain.base)]), keys)
 
 
 @pytest.mark.parametrize("spec", ["S4", "A5", "Sz(8)", "PSL(2,19)"])
@@ -300,10 +308,10 @@ def test_chain_missing_a_strong_generator_is_rejected(spec, monkeypatch):
     g = build(spec)
     add, calls = perm._Level.add, []
 
-    def add_all_but_the_second(level, s, s_inv):
+    def add_all_but_the_second(level, s):
         calls.append(s)
         if len(calls) != 2:
-            add(level, s, s_inv)
+            add(level, s)
 
     monkeypatch.setattr(perm._Level, "add", add_all_but_the_second)
     with pytest.raises(ArithmeticError):
@@ -322,14 +330,14 @@ def test_chain_with_a_wrong_orbit_is_rejected(change, message, monkeypatch):
 
     def wrong_orbit(*args):
         chain = sims(*args)
-        orbit, inv = chain.orbits[-1], chain.inv_transversals[-1]
+        orbit, u = chain.orbits[-1], chain.transversals[-1]
         if change == "drop a point":
-            orbit, inv = orbit[:-1], inv[:-1]
+            orbit, u = orbit[:-1], u[:-1]
         else:
             outside = min(set(range(g.degree)) - set(orbit.tolist()))
-            orbit, inv = np.append(orbit, outside), np.vstack([inv, inv[:1]])
+            orbit, u = np.append(orbit, outside), np.vstack([u, u[:1]])
         return dataclasses.replace(chain, orbits=(*chain.orbits[:-1], orbit),
-                                   inv_transversals=(*chain.inv_transversals[:-1], inv))
+                                   transversals=(*chain.transversals[:-1], u))
 
     monkeypatch.setattr(perm, "schreier_sims", wrong_orbit)
     with pytest.raises(ArithmeticError, match=message):
@@ -358,17 +366,15 @@ def test_tree_edges_are_not_sifted(monkeypatch):
     monkeypatch.setattr(perm._Level, "schreier_generators", counted)
     g = sl2(32)
     assert len(sifted) == 6298 - 1053
-    assert hashlib.sha256(g.rows.tobytes()).hexdigest() == (
+    assert hashlib.sha256(all_rows(g).tobytes()).hexdigest() == (
         "76961ccd815a5e206c77178120666f1fb08263eac97752d5b0381b0b68b6b64c")
-    # oracle: every skipped pair, written out, is the identity
+    # oracle: every skipped pair, written out, is the identity: s u_beta
+    # is u_{s(beta)}
     skipped = 0
     for level in levels:
         for c, i in level.tree:
-            s = level.gens[i][0]
-            u = np.empty_like(level.ident)
-            u[level.inv[c]] = level.ident
-            y = level.inv[level.position[s[level.orbit[c]]]][s[u]]
-            assert np.array_equal(y, level.ident)
+            s = level.gens[i]
+            assert np.array_equal(s[level.fwd[c]], level.fwd[level.position[s[level.orbit[c]]]])
             skipped += 1
     assert skipped == 1053
 
@@ -398,12 +404,12 @@ def map_group(spec):
 def sifted_coefficients(g, classes, z_choice=None):
     """The class coefficients counted by sifting every product w*z through
     the chain, with x = w^-1 looked up as the inverse of w."""
-    r = classes.k
+    r, rows = classes.k, all_rows(g)
     a = np.zeros((r, r, r), dtype=np.int64)
     x_class = classes.class_of[g.inv_ids]
     for k in range(r):
         z = classes.reps[k] if z_choice is None else z_choice[k]
-        wz = g.ids_of_base_images(g.rows[:, g.rows[z, list(g.base)]])
+        wz = g.ids_of_base_images(rows[:, rows[z, list(g.base)]])
         counts = np.bincount(x_class * r + classes.class_of[wz], minlength=r * r)
         a[:, :, k] = counts.reshape(r, r)
     return a
@@ -413,10 +419,11 @@ def sifted_coefficients(g, classes, z_choice=None):
 def test_right_maps_and_tree_against_products(spec):
     # oracle: each product x*g_i written out as a full row, found by its bytes
     g = map_group(spec)
-    full = {row.tobytes(): i for i, row in enumerate(g.rows)}
+    rows = all_rows(g)
+    full = {row.tobytes(): i for i, row in enumerate(rows)}
     assert g.right.shape == (len(g.generators), g.order) and g.right.dtype == np.int32
     for i, gen in enumerate(g.generators):
-        products = g.rows[:, list(gen.images)]  # (x*g_i)(p) = x(g_i(p))
+        products = rows[:, list(gen.images)]  # (x*g_i)(p) = x(g_i(p))
         assert g.right[i].tolist() == [full[row.tobytes()] for row in products]
     assert g.parent[0] == 0 and g.parent_gen.dtype == np.uint8
     z = np.arange(1, g.order)
@@ -424,7 +431,7 @@ def test_right_maps_and_tree_against_products(spec):
     gens = np.array([gen.images for gen in g.generators], dtype=np.int32)
     for i in range(len(gens)):
         zi = z[g.parent_gen[z] == i]
-        assert np.array_equal(g.rows[g.parent[zi]][:, gens[i]], g.rows[zi])
+        assert np.array_equal(rows[g.parent[zi]][:, gens[i]], rows[zi])
     classes = conjugacy_classes(g)
     rng = random.Random(9)
     for z in [*classes.reps, *rng.sample(range(g.order), min(g.order, 20))]:
@@ -432,6 +439,46 @@ def test_right_maps_and_tree_against_products(spec):
         for i in g.word(z):
             product = product * g.generators[i]
         assert product == g.element(z)
+
+
+@pytest.mark.parametrize("spec", MAP_GROUPS)
+def test_tree_maps_and_mul_against_products(spec):
+    # oracle: products and conjugates written out as full rows, found by
+    # their bytes; (h*z)(p) = h(z(p)) and (g^-1 x g)(p) = g^-1(x(g(p)))
+    g = map_group(spec)
+    rows = all_rows(g)
+    full = {row.tobytes(): i for i, row in enumerate(rows)}
+    rng = random.Random(11)
+    hs = [0, g.order - 1, *rng.sample(range(g.order), min(g.order, 6))]
+    for h, lmap in zip(hs, perm._left_maps(g, hs)):
+        assert lmap.tolist() == [full[row.tobytes()] for row in rows[h][rows]]
+    for gen, cmap in zip(g.generators, perm._conjugation_maps(g)):
+        ginv = np.array(gen.inverse().images, dtype=np.int32)
+        conjugates = ginv[rows[:, list(gen.images)]]
+        assert cmap.tolist() == [full[row.tobytes()] for row in conjugates]
+    for _ in range(50):
+        x, y = rng.randrange(g.order), rng.randrange(g.order)
+        assert g.mul(x, y) == full[rows[x][rows[y]].tobytes()]
+    # rows_of at points: one row of points for every id, or one per id
+    ids = np.array(hs)
+    points = np.array([rng.randrange(g.degree) for _ in range(5)])
+    assert np.array_equal(g.rows_of(ids, points), rows[ids][:, points])
+    per_id = np.array([[rng.randrange(g.degree) for _ in range(3)] for _ in ids])
+    assert np.array_equal(g.rows_of(ids, per_id), np.take_along_axis(rows[ids], per_id, axis=1))
+
+
+def test_conjugation_maps_sift_only_the_inverse_generators(monkeypatch):
+    g = build("A5")
+    want = perm._conjugation_maps(g)
+    lookup, sifted = perm.PermGroup.ids_of_base_images, []
+
+    def counted(self, images):
+        sifted.append(len(images))
+        return lookup(self, images)
+
+    monkeypatch.setattr(perm.PermGroup, "ids_of_base_images", counted)
+    assert np.array_equal(perm._conjugation_maps(g), want)
+    assert sifted == [len(g.generators)]
 
 
 @pytest.mark.parametrize("spec", MAP_GROUPS)

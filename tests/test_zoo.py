@@ -186,11 +186,11 @@ def test_product_checks_the_cap_before_enumerating(monkeypatch):
     factors = [build("S8"), build("C25")]
     orders = []
 
-    def closure_refused(chain, gens):
+    def closure_refused(chain, f0, t1, gens):
         orders.append(chain.order)
         raise AssertionError(f"enumerated {chain.order} elements")
 
-    monkeypatch.setattr(perm, "_closure_rows", closure_refused)
+    monkeypatch.setattr(perm, "_closure", closure_refused)
     with pytest.raises(GroupTooLargeError, match="closure exceeded the cap of 1000000 elements"):
         product(factors)
     assert orders == []
