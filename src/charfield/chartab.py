@@ -150,9 +150,13 @@ class CharacterTable:
 def _split_eigenspaces(mats: list[np.ndarray], p: int, r: int) -> list[list[int]]:
     """Common one-dimensional eigenspaces of the commuting family, as vectors.
 
-    Each space B (full column rank) is M-invariant, so MB = BA for a unique
-    A; then A = B_S^-1 (MB)_S for every row set S with B_S invertible, and
-    which independent rows pivot_rows picks does not change A.
+    Each space B (r x d, full column rank) is M-invariant, so MB = BA for a
+    unique d x d matrix A.  [B | MB] = B [I | A] has the row space of
+    [I | A], as B has a left inverse; [I | A] is in reduced row echelon
+    form, which is unique, so rref([B | MB]) starts with the rows [I | A].
+    Each root lam of A's characteristic polynomial splits off B N^T, N the
+    nullspace of A - lam I (not empty, as A - lam I is singular).  M @ B and
+    B @ N^T sum at most 64 products below p^2 <= 10^16, so int64 holds them.
     """
     spaces = [np.eye(r, dtype=np.int64)]
     for M in mats:
@@ -164,21 +168,17 @@ def _split_eigenspaces(mats: list[np.ndarray], p: int, r: int) -> list[list[int]
             if d == 1:
                 nxt.append(B)
                 continue
-            MB = (M @ B) % p
-            piv = modp.pivot_rows(B.tolist(), p)
-            Bp_inv = modp.mat_inv([B[i].tolist() for i in piv], p)
-            A = modp.mat_mul(Bp_inv, [MB[i].tolist() for i in piv], p)
+            A = modp.rref(np.hstack([B, M @ B % p]), p)[0][:d, d:]
+            eye = np.eye(d, dtype=np.int64)
+            if np.array_equal(A, A[0, 0] * eye):  # one root, whose N is I: B stays whole
+                nxt.append(B)
+                continue
             roots = modp.distinct_roots(modp.charpoly(A, p), p)
             found = 0
             for lam in roots:
-                shifted = [[(x - (lam if i == j else 0)) % p for j, x in enumerate(row)]
-                           for i, row in enumerate(A)]
-                basis = modp.nullspace(shifted, p)
-                if not basis:
-                    continue
-                N = np.array(basis, dtype=np.int64).T
-                nxt.append((B @ N) % p)
-                found += N.shape[1]
+                N = modp.nullspace((A - lam * eye) % p, p)
+                nxt.append(B @ N.T % p)
+                found += len(N)
             if found != d:  # pragma: no cover - commuting semisimple family
                 raise ComputationError("eigenspace splitting lost dimensions")
         spaces = nxt
@@ -440,10 +440,10 @@ def _orthogonality(table: CharacterTable, one_embedding: bool) -> tuple[bool, bo
             for u, places in enumerate(where.values()):
                 X[:, [i for i, _ in places], [s for _, s in places]] = at[u][:, None]
         Xbar_t = X[conj].transpose(0, 2, 1)
-        gram = modp.dot(X * np.array([z % p for z in sizes]) % p, Xbar_t, p)
+        gram = modp.mat_mul(X * np.array([z % p for z in sizes]) % p, Xbar_t, p)
         row_ok = row_ok and bool(np.all(gram == np.eye(r, dtype=np.int64) * (scaled_n % p)))
         cols = np.diag([scaled_n // z % p for z in sizes])
-        col_ok = col_ok and bool(np.all(modp.dot(Xbar_t, X, p) == cols))
+        col_ok = col_ok and bool(np.all(modp.mat_mul(Xbar_t, X, p) == cols))
     return row_ok, col_ok
 
 

@@ -7,7 +7,8 @@
     charfield subfields RANGE --d D [--format ...] [--out FILE]
 
 RANGE is "lo..hi" or a single integer.  Exit codes: 0 success,
-1 verification failure, 2 parse/range error, 3 construction error,
+1 verification failure, 2 parse/range error or an --out FILE that cannot
+be written ("output error: ..." on stderr), 3 construction error,
 4 computation failure.  Output is deterministic byte-for-byte for
 identical flags.
 """
@@ -100,12 +101,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(text: str, out: str | None, code: int = EXIT_OK) -> int:
+    """Write text to the file out, or to stdout, and return code; a file
+    that cannot be written is an output error, exit 2."""
+    if not out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return code
 
 
 def main(argv=None) -> int:
@@ -151,18 +159,16 @@ def main(argv=None) -> int:
                 return EXIT_CONSTRUCTION
             table = dixon_table(group, conjugacy_classes(group))
             if args.command == "table":
-                _emit(format_table(table, str(spec), args.format), args.out)
-            else:
-                _emit(format_fov(f_value(table, str(spec)), args.format), args.out)
-            return EXIT_OK
+                return _emit(format_table(table, str(spec), args.format), args.out)
+            return _emit(format_fov(f_value(table, str(spec)), args.format), args.out)
 
         if args.command == "verify":
             suites = run_suite(args.suite)
             lines = []
             for s in suites:
                 lines.extend(s.lines())
-            _emit("\n".join(lines) + "\n", args.out)
-            return EXIT_OK if all(s.ok for s in suites) else EXIT_VERIFY
+            return _emit("\n".join(lines) + "\n", args.out,
+                         EXIT_OK if all(s.ok for s in suites) else EXIT_VERIFY)
 
         if args.command == "omega":
             try:
@@ -180,8 +186,7 @@ def main(argv=None) -> int:
                 head = "r,degree" if args.format == "csv" else "r  degree(zeta_r + 1/zeta_r)"
                 sep = "," if args.format == "csv" else "  "
                 text = "\n".join([head] + [f"{r}{sep}{d}" for r, d in rows]) + "\n"
-            _emit(text, args.out)
-            return EXIT_OK
+            return _emit(text, args.out)
 
         if args.command == "subfields":
             try:
@@ -199,8 +204,7 @@ def main(argv=None) -> int:
                 head = "n,d,count" if args.format == "csv" else "n  d  subfield count"
                 sep = "," if args.format == "csv" else "  "
                 text = "\n".join([head] + [f"{n}{sep}{d}{sep}{c}" for n, d, c in rows]) + "\n"
-            _emit(text, args.out)
-            return EXIT_OK
+            return _emit(text, args.out)
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION

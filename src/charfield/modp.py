@@ -1,27 +1,29 @@
 """Deterministic linear algebra and polynomial root finding over GF(p).
 
-Matrices are lists of lists of ints reduced mod p (the pivoting here is
-pure Python so the choice of pivots is fixed).  Polynomials are coefficient
-lists, lowest degree first, normalized monic where stated.  Bulk products
-go through dot and evaluate, on int64 arrays.
+Matrices are int64 numpy arrays with entries in [0, p), and mat_mul is
+their one product.  rref's pivot rule is fixed (the first nonzero entry at
+or below the current row), and a reduced row echelon form is unique, so
+every result depends on the input alone.  Polynomials are coefficient
+lists, lowest degree first, normalized monic where stated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Evaluation primes are searched from here on: while (p - 1)^2 < 2^42, dot
-# keeps a sum of up to 2^21 products in int64, and a prime this large makes
-# an accidental zero of a nonzero value improbable.
+# Evaluation primes are searched from here on: while (p - 1)^2 < 2^42,
+# mat_mul keeps a sum of up to 2^21 products in int64, and a prime this
+# large makes an accidental zero of a nonzero value improbable.
 PRIME_START = 1 << 20
 
 
-def dot(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+def mat_mul(A, B, p: int) -> np.ndarray:
     """(A @ B) mod p for int64 arrays with entries in [0, p), stacks too.
 
     Each entry of A @ B is a sum of k products below p^2, so int64 holds it
     exactly while k * (p - 1)^2 < 2^63; past that bound Python ints do.
     """
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
     if A.shape[-1] * (p - 1) ** 2 < 2**63:
         return A @ B % p
     return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
@@ -49,116 +51,112 @@ def evaluate(coeffs: np.ndarray, theta: int, order: int, ks, p: int,
     ks = np.asarray(ks, dtype=np.int64) % order
     ds = np.arange(coeffs.shape[1], dtype=np.int64)
     step = max(1, (1 << 22) // max(1, len(ds)))
-    return np.hstack([dot(coeffs, powers[np.outer(ds, ks[a:a + step]) % order], p)
+    return np.hstack([mat_mul(coeffs, powers[np.outer(ds, ks[a:a + step]) % order], p)
                       for a in range(0, len(ks), step)])
 
 
-def mat_mul(A, B, p):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    row[j] = (row[j] + a * Bt[j]) % p
-    return out
+def _reduced(A, p: int) -> np.ndarray:
+    """A copy of A as an int64 array reduced mod p, for p < 2^31."""
+    if p >= 1 << 31:
+        raise ValueError(f"p = {p} is not below 2^31, so int64 elimination could wrap")
+    return np.array(A, dtype=np.int64) % p
 
 
-def rref(A, p):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    M = [row[:] for row in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots = []
-    r = 0
+def rref(A, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 2-d array; returns (R, pivot columns).
+
+    Column by column, the first row at or below the current one with a
+    nonzero entry is swapped up and scaled to a leading 1, then subtracted
+    in one broadcast product from just the other rows with a nonzero entry
+    in its column, and only from that column on (the pivot row is 0 left).
+
+    Exact in int64 for p < 2^31 (ValueError past that): entries stay in
+    [0, p), so the scaling x * inv and each update x - f * y, all factors
+    below p, stay within p^2 < 2^62 in absolute value.
+    """
+    M = _reduced(A, p)
+    rows, cols = M.shape
+    pivots: list[int] = []
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] % p), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [x * inv % p for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
+        nz = M[:, c].nonzero()[0]
+        k = nz.searchsorted(r)
+        if k == len(nz):
+            continue
+        piv = int(nz[k])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        row = M[r, c:]
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        if len(nz) > 1:
+            hit = nz[nz != piv]  # the swap moved a zero of column c to row piv
+            M[hit, c:] = (M[hit, c:] - M[hit, c, None] * row) % p
+        pivots.append(c)
     return M, pivots
 
 
-def nullspace(A, p):
-    """Basis of the right nullspace, one vector per free column, in order."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
+def nullspace(A, p: int) -> np.ndarray:
+    """Basis of the right nullspace, one vector per row and free column, in order."""
     R, pivots = rref(A, p)
     piv_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in piv_set:
-            continue
-        v = [0] * cols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-R[r][free]) % p
-        basis.append(v)
-    return basis
+    free = [c for c in range(R.shape[1]) if c not in piv_set]
+    N = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    N[range(len(free)), free] = 1
+    N[:, pivots] = -R[:len(pivots)][:, free].T % p
+    return N
 
 
-def mat_inv(A, p):
+def mat_inv(A, p: int) -> np.ndarray:
     """Inverse mod p, read off the right half of rref([A | I])."""
     n = len(A)
-    R, pivots = rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(A)], p)
+    R, pivots = rref(np.hstack([np.asarray(A, dtype=np.int64), np.eye(n, dtype=np.int64)]), p)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular mod p")
-    return [row[n:] for row in R]
+    return R[:, n:]
 
 
-def pivot_rows(B, p):
-    """Indices of linearly independent rows spanning the row space of B.
-
-    These are the pivot columns of rref(B^T): the first rows, in order, that
-    are independent of the rows before them.
-    """
-    _, pivots = rref([list(col) for col in zip(*B)], p)
-    return pivots
+def pivot_rows(B, p: int) -> list[int]:
+    """The first rows of B, in order, that are independent of the rows
+    before them: the pivot columns of rref(B^T)."""
+    return rref(np.asarray(B).T, p)[1]
 
 
-def charpoly(A, p):
+def charpoly(A, p: int) -> list[int]:
     """det(xI - A) mod p, coefficients lowest degree first, monic.
 
     Similarity reduction to upper Hessenberg form, then the standard
-    leading-minor recurrence.
+    leading-minor recurrence.  Column c is cleared below row c + 1 by
+    H -> E H E^-1 with E = I - f e_(c+1)^T, f_r = H[r, c] / H[c+1, c] for
+    r > c + 1: the elementary matrices of one column commute, so their
+    product is E, and E^-1 = I + f e_(c+1)^T.  That is one row update,
+    H[r] -= f_r H[c+1], then one column update, H[:, c+1] += H f.
+
+    Exact in int64 for p < 2^31 (ValueError past that): the row update is
+    rref's, within p^2 < 2^62, and the column sum H f goes through mat_mul,
+    whose k * (p - 1)^2 check falls back to Python ints where int64 would
+    not hold it.
     """
-    n = len(A)
-    H = [[x % p for x in row] for row in A]
+    H = _reduced(A, p)
+    n = len(H)
     for col in range(n - 2):
-        piv = next((r for r in range(col + 1, n) if H[r][col]), None)
-        if piv is None:
+        below = H[col + 1:, col].nonzero()[0]
+        if not len(below):
             continue
+        piv = col + 1 + below[0]
         if piv != col + 1:
-            H[col + 1], H[piv] = H[piv], H[col + 1]
-            for i in range(n):
-                H[i][col + 1], H[i][piv] = H[i][piv], H[i][col + 1]
-        inv = pow(H[col + 1][col], -1, p)
-        for r in range(col + 2, n):
-            if H[r][col]:
-                f = H[r][col] * inv % p
-                H[r] = [(x - f * y) % p for x, y in zip(H[r], H[col + 1])]
-                for i in range(n):
-                    H[i][col + 1] = (H[i][col + 1] + f * H[i][r]) % p
+            H[[col + 1, piv]] = H[[piv, col + 1]]
+            H[:, [col + 1, piv]] = H[:, [piv, col + 1]]
+        f = H[col + 2:, col] * pow(int(H[col + 1, col]), -1, p) % p
+        H[col + 2:] = (H[col + 2:] - f[:, None] * H[col + 1]) % p
+        H[:, col + 1] = (H[:, col + 1] + mat_mul(H[:, col + 2:], f, p)) % p
+    H = H.tolist()
     polys = [[1]]
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        poly = [0] + prev  # x * p_{k-1}
-        d = H[k - 1][k - 1]
-        poly = [(a - d * b) % p for a, b in zip(poly, prev + [0])]
+        prev, d = polys[k - 1], H[k - 1][k - 1]
+        poly = [(a - d * b) % p for a, b in zip([0] + prev, prev + [0])]  # (x - d) p_{k-1}
         prod = 1
         for i in range(k - 1, 0, -1):
             prod = prod * H[i][i - 1] % p

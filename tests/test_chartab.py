@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from charfield import modp
-from charfield.arith import element_of_order, next_prime_in_progression, units
+from charfield.arith import element_of_order, is_prime, next_prime_in_progression, units
 from charfield.chartab import (
+    PRIME_SEARCH_LIMIT,
     ComputationError,
     abelian_character_table,
     admissible_prime,
@@ -114,17 +115,17 @@ def test_mat_inv_against_product():
     singular_seen = 0
     for _ in range(60):
         n = rng.randint(1, 5)
-        A = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        A = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64)
         try:
             inv = modp.mat_inv(A, p)
         except ValueError as exc:
             # certificate of singularity: a nonzero kernel vector
             assert "singular" in str(exc)
             v = modp.nullspace(A, p)[0]
-            assert any(v) and all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
+            assert v.any() and not (A @ v % p).any()
             singular_seen += 1
             continue
-        assert modp.mat_mul(inv, A, p) == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert np.array_equal(modp.mat_mul(inv, A, p), np.eye(n, dtype=np.int64))
     assert singular_seen
 
 
@@ -145,14 +146,133 @@ def test_pivot_rows_pick_an_independent_spanning_set():
 
 
 @pytest.mark.parametrize("p", [7681, 2**61 - 1])
-def test_dot_is_exact(p):
+def test_mat_mul_is_exact(p):
     # 2^61 - 1 takes the Python-int path: 8 * (p - 1)^2 overflows int64
     rng = random.Random(p)
     A = [[rng.randrange(p) for _ in range(8)] for _ in range(3)]
     B = [[rng.randrange(p) for _ in range(4)] for _ in range(8)]
-    got = modp.dot(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
+    got = modp.mat_mul(np.array(A, dtype=np.int64), np.array(B, dtype=np.int64), p)
     assert got.tolist() == [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)]
                             for row in A]
+
+
+# The list-based rref and charpoly that the int64 array versions replaced,
+# kept verbatim as an independent oracle.
+
+
+def _reference_rref(A, p):
+    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    M = [row[:] for row in A]
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if M[i][c] % p), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = pow(M[r][c], -1, p)
+        M[r] = [x * inv % p for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M, pivots
+
+
+def _reference_charpoly(A, p):
+    """det(xI - A) mod p, coefficients lowest degree first, monic.
+
+    Similarity reduction to upper Hessenberg form, then the standard
+    leading-minor recurrence.
+    """
+    n = len(A)
+    H = [[x % p for x in row] for row in A]
+    for col in range(n - 2):
+        piv = next((r for r in range(col + 1, n) if H[r][col]), None)
+        if piv is None:
+            continue
+        if piv != col + 1:
+            H[col + 1], H[piv] = H[piv], H[col + 1]
+            for i in range(n):
+                H[i][col + 1], H[i][piv] = H[i][piv], H[i][col + 1]
+        inv = pow(H[col + 1][col], -1, p)
+        for r in range(col + 2, n):
+            if H[r][col]:
+                f = H[r][col] * inv % p
+                H[r] = [(x - f * y) % p for x, y in zip(H[r], H[col + 1])]
+                for i in range(n):
+                    H[i][col + 1] = (H[i][col + 1] + f * H[i][r]) % p
+    polys = [[1]]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        poly = [0] + prev  # x * p_{k-1}
+        d = H[k - 1][k - 1]
+        poly = [(a - d * b) % p for a, b in zip(poly, prev + [0])]
+        prod = 1
+        for i in range(k - 1, 0, -1):
+            prod = prod * H[i][i - 1] % p
+            coef = H[i - 1][k - 1] * prod % p
+            if coef:
+                pi = polys[i - 1]
+                poly = [(a - coef * (pi[j] if j < len(pi) else 0)) % p
+                        for j, a in enumerate(poly)]
+        polys.append(poly)
+    return polys[n]
+
+
+def _random_matrices(rng, p, square):
+    """Full-rank, rank-deficient and zero matrices, with 0 rows or columns too."""
+    for _ in range(40):
+        rows = int(rng.integers(0, 9))
+        cols = rows if square else int(rng.integers(0, 9))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        full = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        low = (rng.integers(0, p, size=(rows, rank), dtype=np.int64).astype(object)
+               @ rng.integers(0, p, size=(rank, cols), dtype=np.int64).astype(object) % p)
+        yield full
+        yield low.astype(np.int64)
+        yield np.zeros((rows, cols), dtype=np.int64)
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        if not square or shape[0] == shape[1]:
+            yield np.zeros(shape, dtype=np.int64)
+    # sparse columns, so that pivots are found below the current row
+    yield (np.eye(6, dtype=np.int64)[::-1] * (p - 1)) % p
+    yield np.triu(rng.integers(0, p, size=(7, 7), dtype=np.int64), 1)
+
+
+ORACLE_PRIMES = [2, 3, 101, 10007, 99999721, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_rref_against_the_list_reference(p):
+    rng = np.random.default_rng(p)
+    for A in _random_matrices(rng, p, square=False):
+        R, pivots = modp.rref(A, p)
+        assert R.dtype == np.int64 and R.shape == A.shape
+        assert (R.tolist(), pivots) == _reference_rref(A.tolist(), p)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_charpoly_against_the_list_reference(p):
+    rng = np.random.default_rng(p + 1)
+    for A in _random_matrices(rng, p, square=True):
+        assert modp.charpoly(A, p) == _reference_charpoly(A.tolist(), p)
+
+
+def test_elimination_refuses_primes_past_int64_exactness():
+    # 2^31 - 1 is the largest prime below the limit; 2^31 + 11 the next one
+    A = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    modp.rref(A, 2**31 - 1)
+    modp.charpoly(A, 2**31 - 1)
+    for call in (modp.rref, modp.charpoly, modp.nullspace, modp.mat_inv, modp.pivot_rows):
+        with pytest.raises(ValueError, match="2\\^31"):
+            call(A, 2**31 + 11)
 
 
 @pytest.mark.parametrize("o,start", [(1, 5), (5, 10), (12, 12), (61, 2**20)])
@@ -305,6 +425,19 @@ def test_prime_independence():
         assert t1.prime != t2.prime
         assert t1.degrees == t2.degrees
         assert t1.values == t2.values
+
+
+@pytest.mark.parametrize("spec,p", [("C8xC8", 99_999_721), ("A5", 99_999_931)])
+def test_prime_at_the_search_limit(spec, p):
+    # p is the largest admissible prime <= PRIME_SEARCH_LIMIT
+    t1 = table(spec)
+    e = t1.exponent
+    assert p % e == 1 and is_prime(p) and p <= PRIME_SEARCH_LIMIT
+    assert not any(is_prime(q) for q in range(p + e, PRIME_SEARCH_LIMIT + 1, e))
+    t2 = table(spec, prime=p)
+    assert t2.prime == p != t1.prime
+    assert t1.to_obj(spec) == t2.to_obj(spec)
+    assert validate_table(t2).all_ok
 
 
 def test_admissible_prime_values():

@@ -108,6 +108,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["order"] == 4
 
 
+@pytest.mark.parametrize("argv", [("table", "A5"), ("omega", "3..5")])
+def test_unwritable_out_file_is_an_output_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("output error: ") and "x.txt" in err
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("argv", [("--seed", "7", "fov", "C2"),
                                   ("verify", "subfields", "--jobs", "2")])
 def test_removed_flags_are_parse_errors(argv):
