@@ -170,7 +170,7 @@ def _split_eigenspaces(mats: list[np.ndarray], p: int, r: int) -> list[list[int]
                 continue
             A = modp.rref(np.hstack([B, M @ B % p]), p)[0][:d, d:]
             eye = np.eye(d, dtype=np.int64)
-            if np.array_equal(A, A[0, 0] * eye):  # one root, whose N is I: B stays whole
+            if (A == A[0, 0] * eye).all():  # one root, whose N is I: B stays whole
                 nxt.append(B)
                 continue
             roots = modp.distinct_roots(modp.charpoly(A, p), p)
