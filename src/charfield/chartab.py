@@ -65,14 +65,11 @@ def class_multiplication_coefficients(group: PermGroup, classes: ClassData,
     inverse class of class_of[w] (power_map(classes, -1)), and no inverse
     is looked up.
 
-    The ids of w z for all w come from the right-multiplication maps the
-    closure kept, right[i][x] = id(x g_i), along the breadth-first word
-    z = g_{a_1} ... g_{a_m} (PermGroup.word).  Products compose as
-    functions, (x g)(p) = x(g(p)), so the product is associative and
-    w z = (...((w g_{a_1}) g_{a_2}) ...) g_{a_m}, hence
-    id(w z) = right[a_m][... right[a_2][right[a_1][w]]]: one |G|-long
-    gather per letter, and no product is sifted.  The representatives are
-    the smallest ids of their classes, so their words are the shortest.
+    The ids of w z for all w are PermGroup.right_map(z), composed from the
+    right-multiplication maps the closure kept along the breadth-first word
+    of z: one |G|-long gather per letter, and no product is sifted.  The
+    representatives are the smallest ids of their classes, so their words
+    are the shortest.
     """
     r = classes.k
     a = np.zeros((r, r, r), dtype=np.int64)
@@ -80,10 +77,7 @@ def class_multiplication_coefficients(group: PermGroup, classes: ClassData,
     x_class = np.array(power_map(classes, -1), dtype=np.int64)[class_of] * r
     for k in range(r):
         z_id = classes.reps[k] if z_choice is None else z_choice[k]
-        word = group.word(z_id)
-        wz = group.right[word[0]] if word else np.arange(group.order)
-        for i in word[1:]:
-            wz = group.right[i][wz]
+        wz = group.right_map(z_id)
         a[:, :, k] = np.bincount(x_class + class_of[wz], minlength=r * r).reshape(r, r)
     return a
 

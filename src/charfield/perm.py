@@ -24,7 +24,12 @@ right[i][x] = id(x * g_i), |G| * #generators int32, and its tree, the
 parent[z] (int32) and parent_gen[z] (uint8 up to 256 generators) with
 z = parent[z] * g_parent_gen[z].  Together they cost |G| * (4 * #generators
 + 5) bytes, and they give the id of w * z for every w without a sift;
-see PermGroup.word and chartab.class_multiplication_coefficients.
+see PermGroup.right_map and chartab.class_multiplication_coefficients.
+
+Subgroups use the same maps: the orbits of the right maps of ids T are the
+left cosets of <T>, labelled by their smallest ids (_orbit_labels), and a
+Subgroup's generator_ids is a generating list of at most log2 |H| ids
+(_generated).
 
 The element cap (default 10**6) keeps accidental monsters out; the largest
 built-in group, S9, has 362880 elements.  TABLE_BYTES_LIMIT does the same
@@ -352,11 +357,6 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     )
 
 
-# rows_of's callers that read every element take the rows in blocks of this
-# many entries, 4 MiB of int32 whatever the degree
-ROW_BLOCK = 1 << 20
-
-
 class PermGroup:
     """Fully enumerated permutation group; build via enumerate_group().
 
@@ -412,7 +412,6 @@ class PermGroup:
         self.right = right           # #generators x order int32: id of x * g_i
         self.parent = parent         # order int32: breadth-first tree, parent[0] = 0
         self.parent_gen = parent_gen  # order: z = parent[z] * g_{parent_gen[z]}
-        self._inv_ids: np.ndarray | None = None
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -490,21 +489,15 @@ class PermGroup:
             i = self.right[a, i]
         return int(i)
 
-    @property
-    def inv_ids(self) -> np.ndarray:
-        if self._inv_ids is None:
-            images = np.empty((self.order, len(self.base)), dtype=np.int32)
-            step = max(1, ROW_BLOCK // max(1, self.degree))
-            for lo in range(0, self.order, step):
-                rows = self.rows_of(np.arange(lo, min(lo + step, self.order)))
-                for c, b in enumerate(self.base):
-                    # x^-1(b) is the point that x sends to b
-                    images[lo:lo + len(rows), c] = (rows == b).argmax(axis=1)
-            self._inv_ids = self.ids_of_base_images(images)
-        return self._inv_ids
-
-    def inverse_id(self, i: int) -> int:
-        return int(self.inv_ids[i])
+    def right_map(self, z: int) -> np.ndarray:
+        """The id of x * z for every id x: products compose as functions, so
+        with z = g_{a_1} ... g_{a_m} (word), x z = (...(x g_{a_1}) ...) g_{a_m}
+        and the map is right[a_m][... right[a_1]], one gather per letter."""
+        word = self.word(z)
+        xz = self.right[word[0]] if word else np.arange(self.order)
+        for a in word[1:]:
+            xz = self.right[a][xz]
+        return xz
 
 
 def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -707,40 +700,53 @@ def _conjugation_maps(group: PermGroup) -> np.ndarray:
     return np.take_along_axis(group.right, _left_maps(group, inv_ids), axis=1)
 
 
+def _orbit_labels(maps, lab: np.ndarray) -> np.ndarray:
+    """The smallest id in each element's orbit under the id permutations
+    maps, from labels lab with lab[x] <= x in x's orbit (np.arange will do).
+
+    Each round lowers every label to the label of its image under every
+    map, then to the label of its label.  A label stays in its element's
+    orbit and never exceeds its id.  At the fixpoint lab[x] <= lab[m(x)] for
+    every map m; m is a permutation, so following its cycle back to x makes
+    these equalities.  Then lab is constant on each orbit, and as it lies in
+    the orbit and below every id there, it is the orbit's smallest id.  A
+    label only falls one step along a map per round, so a long cycle whose
+    ids rise against the map takes about one round per element.
+    """
+    while True:
+        new = lab
+        for m in maps:
+            new = np.minimum(new, new[m])
+        new = new[new]
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
+
+
+def _orbit_index(lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits' smallest ids in increasing order, and each id's orbit
+    index, from the labels of _orbit_labels: a smallest id is the one
+    element labelled with itself."""
+    seeds = np.flatnonzero(lab == np.arange(len(lab)))
+    rank = np.empty(len(lab), dtype=np.int32)
+    rank[seeds] = np.arange(len(seeds))
+    return seeds, rank[lab]
+
+
 def conjugacy_classes(group: PermGroup) -> ClassData:
     """Partition of G into conjugation orbits.
 
     Classes are ordered by (element order, class size, smallest element id);
     the identity class is always first.
 
-    Every element's label starts at its own id; each round lowers it to the
-    label of its image under every conjugation map, then to the label of its
-    label.  A label stays in its element's class and never exceeds its id.
-    At the fixpoint lab[x] <= lab[c(x)] for every map c; c is a permutation,
-    so following its cycle back to x makes these equalities.  Then lab is
-    constant on each orbit of the maps, which is a class, and as it lies in
-    the class and below every id there, it is the class's smallest id.
-
-    The conjugation maps come from the tree (_conjugation_maps), so no
-    conjugate is sifted.  The representatives' orders come from one batched
-    walk of their base images (_base_walk), which keeps nothing;
-    ClassData.powers walks again on first use.
+    The classes are the orbits of the conjugation maps (_orbit_labels),
+    which come from the tree (_conjugation_maps), so no conjugate is
+    sifted.  The representatives' orders come from one batched walk of
+    their base images (_base_walk), which keeps nothing; ClassData.powers
+    walks again on first use.
     """
-    conj_maps = _conjugation_maps(group)
-    lab = np.arange(group.order, dtype=np.int32)
-    while True:
-        new = lab
-        for cmap in conj_maps:
-            new = np.minimum(new, new[cmap])
-        new = new[new]
-        if np.array_equal(new, lab):
-            break
-        lab = new
-    # a class's smallest id is the one element labelled with itself
-    seeds = np.flatnonzero(lab == np.arange(group.order))
-    rank = np.empty(group.order, dtype=np.int32)
-    rank[seeds] = np.arange(len(seeds))
-    class_of = rank[lab]
+    lab = _orbit_labels(_conjugation_maps(group), np.arange(group.order, dtype=np.int32))
+    seeds, class_of = _orbit_index(lab)
     sizes = np.bincount(class_of).tolist()
     orders = np.zeros(len(seeds), dtype=np.int64)
     for live, _ in _base_walk(group, seeds):
@@ -771,7 +777,10 @@ def element_order_spectrum(group: PermGroup) -> tuple[int, ...]:
 
 @dataclass(eq=False)
 class Subgroup:
-    """A subgroup given by its element ids inside an enumerated parent."""
+    """A subgroup H given by its element ids inside an enumerated parent.
+
+    generator_ids is a generating list of at most log2 |H| ids (_generated).
+    """
 
     parent: PermGroup
     element_ids: frozenset[int]
@@ -786,90 +795,84 @@ class Subgroup:
         return enumerate_group(self.parent.degree, gens)
 
 
-def _close_subgroup(group: PermGroup, gen_ids: set[int]) -> set[int]:
-    elems = {0} | set(gen_ids)
-    frontier = list(elems - {0})
-    gens = sorted(gen_ids)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = group.mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
+def _generated(group: PermGroup, seeds, conj=None) -> tuple[list[int], np.ndarray]:
+    """T, sorted, with <T> = <seeds>, or the normal closure of the seeds given
+    the conjugation maps conj; and the orbit labels of the maps
+    {right_map(t) : t in T}.
+
+    The orbit of x under right multiplication by T is the left coset x<T>,
+    so <T> is the orbit of the identity, the ids labelled 0.  T grows by
+    the first seed outside <T>; given conj, once every seed is inside, by
+    the first conjugate g_i^-1 t g_i (t in T) outside.  It stops when there
+    is none: then <T> holds the seeds, and each g_i conjugates T, so <T>,
+    into <T>, which is then normal.  Every t added lies in the subgroup
+    sought, and takes <T> to a larger subgroup, whose order is a multiple
+    of the old: so |<T>| at least doubles each time, and T has at most
+    log2 |<T>| elements.  The old labels stay below each id and inside its
+    coset, which only grows, so the fixpoint resumes from them.
+    """
+    seeds = np.asarray(seeds, dtype=np.intp)
+    lab = np.arange(group.order, dtype=np.int32)
+    gens: list[int] = []
+    maps: list[np.ndarray] = []
+    while True:
+        outside = seeds[lab[seeds] != 0]
+        if not outside.size and conj is not None:
+            conjugates = conj[:, gens].ravel()
+            outside = conjugates[lab[conjugates] != 0]
+        if not outside.size:
+            return sorted(gens), lab
+        gens.append(int(outside[0]))
+        maps.append(group.right_map(gens[-1]))
+        lab = _orbit_labels(maps, lab)
 
 
 def derived_subgroup(group: PermGroup) -> Subgroup:
-    """Normal closure of the commutators of the generator pairs."""
-    gen_ids = [group.id_of(g) for g in group.generators]
-    seeds = set()
-    for a in gen_ids:
-        for b in gen_ids:
-            ainv, binv = group.inverse_id(a), group.inverse_id(b)
-            seeds.add(group.mul(group.mul(ainv, binv), group.mul(a, b)))
-    seeds.discard(0)
-    elems = _close_subgroup(group, seeds)
-    inv_gen_ids = [group.inverse_id(g) for g in gen_ids]
-    while True:
-        new = set()
-        for x in elems:
-            for g, ginv in zip(gen_ids, inv_gen_ids):
-                y = group.mul(ginv, group.mul(x, g))
-                if y not in elems:
-                    new.add(y)
-        if not new:
-            break
-        seeds |= new
-        elems = _close_subgroup(group, seeds)
-    return Subgroup(group, frozenset(elems), tuple(sorted(seeds)))
+    """Normal closure of the commutators [g_i, g_j] = g_i^-1 g_j^-1 g_i g_j of
+    the generator pairs.
 
-
-def _normalize_subgroup(group: PermGroup, normal) -> Subgroup:
-    if isinstance(normal, Subgroup):
-        if normal.parent is not group:
-            raise ValueError("subgroup belongs to a different parent group")
-        return normal
-    if isinstance(normal, PermGroup):
-        ids = frozenset(group.id_of(normal.element(i)) for i in range(normal.order))
-        return Subgroup(group, ids, tuple(sorted(ids - {0})))
-    ids = frozenset(int(i) for i in normal)
-    return Subgroup(group, ids, tuple(sorted(ids - {0})))
+    right[i] is a permutation of the ids with id(g_i^-1 * g_i) = 0, so g_i^-1
+    is where it holds 0; then [g_i, g_j] = right[j][right[i][g_i^-1 g_j^-1]].
+    """
+    right = group.right
+    inv = right.argmin(axis=1).tolist()
+    seeds = [right[j, right[i, group.mul(inv[i], inv[j])]]
+             for i in range(len(inv)) for j in range(len(inv))]
+    gens, lab = _generated(group, seeds, _conjugation_maps(group))
+    return Subgroup(group, frozenset(np.flatnonzero(lab == 0).tolist()), tuple(gens))
 
 
 def quotient_group(group: PermGroup, normal) -> PermGroup:
-    """Action of the group on the right cosets of a normal subgroup.
+    """Action of the group on the cosets of a normal subgroup, given as a
+    Subgroup of group, a PermGroup inside it, or a set of element ids.
 
-    Cosets are indexed by their smallest contained element id.
+    The cosets are the orbits of the subgroup's right maps (_generated), and
+    they are indexed by their smallest contained element id.  A set of ids
+    outside range(|G|), or that is not a subgroup, or a subgroup that some
+    generator does not conjugate into itself, raises ValueError.
     """
-    sub = _normalize_subgroup(group, normal)
-    ids = sub.element_ids
-    if 0 not in ids:
-        raise ValueError("subgroup must contain the identity")
-    gen_ids = [group.id_of(g) for g in group.generators]
-    for x in ids:
-        for g in gen_ids:
-            if group.mul(group.inverse_id(g), group.mul(x, g)) not in ids:
-                raise ValueError("subgroup is not normal")
-    n = group.order
-    coset_of = [-1] * n
-    reps = []
-    sub_list = sorted(ids)
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        c = len(reps)
-        reps.append(x)
-        for h in sub_list:
-            coset_of[group.mul(h, x)] = c
-    gens = []
-    for g in gen_ids:
-        images = [coset_of[group.mul(r, g)] for r in reps]
-        gens.append(Permutation(images))
+    if isinstance(normal, Subgroup):
+        if normal.parent is not group:
+            raise ValueError("subgroup belongs to a different parent group")
+        normal = normal.element_ids
+    if isinstance(normal, PermGroup):
+        seeds, order = [group.id_of(g) for g in normal.generators], normal.order
+    else:
+        seeds = sorted({int(i) for i in normal})
+        order = len(seeds)
+        if seeds and (seeds[0] < 0 or seeds[-1] >= group.order):
+            raise ValueError(f"element ids must lie in range({group.order})")
+    _, lab = _generated(group, seeds)
+    members = np.flatnonzero(lab == 0)
+    if len(members) != order:
+        raise ValueError(f"the {order} element ids are not a subgroup: "
+                         f"they generate one of order {len(members)}")
+    if lab[_conjugation_maps(group)[:, members]].any():
+        raise ValueError("subgroup is not normal")
+    reps, coset_of = _orbit_index(lab)
+    gens = [Permutation(coset_of[row[reps]].tolist()) for row in group.right]
     quo = enumerate_group(len(reps), gens)
-    if quo.order * len(ids) != group.order:
+    if quo.order * order != group.order:
         raise ArithmeticError("coset action has the wrong order")  # pragma: no cover
     return quo
 

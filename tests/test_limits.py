@@ -15,7 +15,8 @@ exit code 4.  Frob(181,3) and C61, small groups with many classes of
 large element order, must run the whole pipeline, validation included.
 No element table is stored, so the widest group inside the limits,
 SL(2,32), must build its table in well under the 128 MiB its element
-table would take.
+table would take.  The derived subgroups of A8 and S9, and S9's quotient
+by its derived subgroup, must come out inside the same caps.
 """
 
 import hashlib
@@ -74,6 +75,16 @@ try:
 except (OSError, StopIteration):
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 sys.exit(code)
+"""
+
+SUBGROUP_CHILD = CAPPED + """
+import json
+from charfield import build
+from charfield.perm import derived_subgroup, quotient_group
+a8, s9 = build("A8"), build("S9")
+d8, d9 = derived_subgroup(a8), derived_subgroup(s9)
+print(json.dumps({"A8' is A8": d8.element_ids == frozenset(range(a8.order)),
+                  "|S9'|": d9.order, "|S9/S9'|": quotient_group(s9, d9).order}))
 """
 
 # a JSON group, read from stdin, has no spec to name it, so the child maps
@@ -176,3 +187,10 @@ def test_pipeline_at_many_classes_of_large_order(spec, k):
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     assert out["k"] == k and out["failures"] == [] and out["f"] >= 1
+
+
+def test_derived_subgroups_and_quotient_at_the_edge():
+    # A8 is perfect, and S9' = A9 has index 2
+    done = run_capped(SUBGROUP_CHILD)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"A8' is A8": True, "|S9'|": 181440, "|S9/S9'|": 2}

@@ -22,7 +22,7 @@ from charfield.perm import (
     schreier_sims,
 )
 from charfield.zoo import build, sl2
-from test_base_keys import all_rows, two_level_group
+from test_base_keys import all_rows, inverse_ids, two_level_group
 
 
 def cycle(degree, *cycles):
@@ -154,18 +154,37 @@ def test_derived_subgroup():
     assert derived_subgroup(a4).order == 4  # the Klein four-group
 
 
+def close_subgroup(group, gen_ids):
+    """Oracle: the subgroup generated by gen_ids, closed one product at a time."""
+    elems = {0} | set(gen_ids)
+    frontier = list(elems - {0})
+    gens = sorted(gen_ids)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = group.mul(x, g)
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elems
+
+
 def test_derived_subgroup_matches_all_commutators():
     # brute-force all-pairs commutator closure on groups of order <= 200
-    for g in (S3, S4, C4, A5):
+    for g in (S3, S4, C4, A5, build("D18"), build("F52"), build("SL(2,5)")):
         d = derived_subgroup(g)
+        inv = inverse_ids(g)
         comm = set()
         for a in range(g.order):
-            ainv = g.inverse_id(a)
             for b in range(g.order):
-                comm.add(g.mul(g.mul(ainv, g.inverse_id(b)), g.mul(a, b)))
-        from charfield.perm import _close_subgroup
-
-        assert _close_subgroup(g, comm - {0}) == set(d.element_ids)
+                comm.add(g.mul(g.mul(inv[a], inv[b]), g.mul(a, b)))
+        assert close_subgroup(g, comm - {0}) == set(d.element_ids)
+        # a short generating list: each generator at least doubles the span
+        assert list(d.generator_ids) == sorted(d.generator_ids)
+        assert 2 ** len(d.generator_ids) <= d.order
+        assert close_subgroup(g, d.generator_ids) == set(d.element_ids)
 
 
 def test_subgroup_as_group():
@@ -215,6 +234,31 @@ def test_non_normal_subgroup_rejected():
         quotient_group(S3, ids)
 
 
+THREE_CYCLES = [0, *(S4.id_of(cycle(4, c)) for c in
+                     ((0, 1, 2), (0, 2, 1), (0, 1, 3), (0, 3, 1),
+                      (0, 2, 3), (0, 3, 2), (1, 2, 3), (1, 3, 2)))]
+
+
+@pytest.mark.parametrize("ids,message", [
+    ({0, -1}, "range"),            # -1 is not an id, though numpy would wrap it
+    ({0, 10**6}, "range"),
+    # the identity and the eight 3-cycles: a normal set, but they generate A4
+    (set(THREE_CYCLES), "not a subgroup: they generate one of order 12"),
+])
+def test_quotient_rejects_ids_that_are_not_a_subgroup(ids, message):
+    with pytest.raises(ValueError, match=message):
+        quotient_group(S4, ids)
+
+
+def test_quotient_by_subgroup_given_as_a_group():
+    a4 = enumerate_group(4, [cycle(4, (0, 1, 2)), cycle(4, (1, 2, 3))])
+    q = quotient_group(S4, a4)
+    assert q.order == 2 and q.degree == 2
+    assert q.generators == quotient_group(S4, derived_subgroup(S4)).generators
+    with pytest.raises(ValueError, match="different parent"):
+        quotient_group(S3, derived_subgroup(S4))
+
+
 def test_determinism():
     a = enumerate_group(5, A5.generators)
     b = enumerate_group(5, A5.generators)
@@ -228,11 +272,6 @@ def test_json_roundtrip():
     g = group_from_json(text)
     assert g.order == 60
     assert group_to_json(5, g.generators) == text
-
-
-def test_inverse_ids():
-    for i in range(S4.order):
-        assert S4.mul(i, S4.inverse_id(i)) == 0
 
 
 def full_row_closure(degree, gens):
@@ -406,7 +445,7 @@ def sifted_coefficients(g, classes, z_choice=None):
     the chain, with x = w^-1 looked up as the inverse of w."""
     r, rows = classes.k, all_rows(g)
     a = np.zeros((r, r, r), dtype=np.int64)
-    x_class = classes.class_of[g.inv_ids]
+    x_class = classes.class_of[inverse_ids(g)]
     for k in range(r):
         z = classes.reps[k] if z_choice is None else z_choice[k]
         wz = g.ids_of_base_images(rows[:, rows[z, list(g.base)]])
@@ -459,6 +498,8 @@ def test_tree_maps_and_mul_against_products(spec):
     for _ in range(50):
         x, y = rng.randrange(g.order), rng.randrange(g.order)
         assert g.mul(x, y) == full[rows[x][rows[y]].tobytes()]
+    for z in hs:
+        assert g.right_map(z).tolist() == [full[row.tobytes()] for row in rows[:, rows[z]]]
     # rows_of at points: one row of points for every id, or one per id
     ids = np.array(hs)
     points = np.array([rng.randrange(g.degree) for _ in range(5)])
@@ -505,7 +546,6 @@ def test_coefficients_sift_no_product(monkeypatch):
         raise AssertionError("a product was sifted")
 
     monkeypatch.setattr(perm.PermGroup, "ids_of_base_images", refused)
-    monkeypatch.setattr(perm.PermGroup, "inv_ids", property(refused))
     assert np.array_equal(class_multiplication_coefficients(g, classes), want)
 
 
