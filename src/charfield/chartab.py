@@ -27,7 +27,7 @@ import numpy as np
 
 from . import modp
 from .arith import element_of_order, is_prime, next_prime_in_progression, units
-from .cyclo import Cyclo, cyclo_from_root_counts, galois
+from .cyclo import Cyclo, cyclo_from_root_counts, galois, root_of_unity
 from .perm import ClassData, PermGroup, conjugacy_classes, power_map
 
 MAX_CLASSES = 64
@@ -267,69 +267,60 @@ def abelian_character_table(group: PermGroup,
                             classes: ClassData | None = None) -> CharacterTable:
     """Independent oracle: the dual-group construction for abelian groups.
 
-    Decomposes the group into cyclic factors by repeatedly taking an element
-    of maximal order, then writes every character as a product of roots of
-    unity.  Rows use the same canonical ordering as dixon_table, so for an
-    abelian group the two tables must be identical.
+    An abelian group has |G| classes, so past MAX_CLASSES elements it is
+    refused as dixon_table refuses it, and every array here is at most
+    64 x 64: T[x][y] = id(x y) from the columns right_map(y), and the powers
+    pw[x][t] = id(x^t), one gather of T per t < e.  The greedy basis element,
+    of maximal order (smallest id on ties) among those whose nontrivial
+    powers avoid the span, generates a direct summand, so
+    G = C_{o_1} x ... x C_{o_m}; T[span][:, pw[b, :o]] gives the new span and
+    every element's exponent vector a over the basis.  The character c takes
+    zeta_e^(sum_i c_i a_i e/o_i), all exponents from one integer product, and
+    each distinct root is built in closed form (cyclo.root_of_unity), not
+    lifted from counts as in dixon_table.  Rows are sorted as in dixon_table,
+    so for an abelian group the two tables must be identical.
     """
     if not is_abelian(group):
         raise ValueError("dual-group construction needs an abelian group")
+    n = group.order
+    if n > MAX_CLASSES:
+        raise ComputationError(f"{n} classes exceeds the supported maximum of {MAX_CLASSES}")
     if classes is None:
         classes = conjugacy_classes(group)
-    n = group.order
-    # element orders are constant on classes
-    orders = [classes.element_orders[c] for c in classes.class_of]
-
-    # cyclic basis: an element of maximal order whose cyclic subgroup meets
-    # the current span trivially generates a direct summand, so the greedy
-    # pick below always yields G = C_{e1} x ... x C_{et}
-    def cyclic_powers(i):
-        powers, x = [0], i
-        while x != 0:
-            powers.append(x)
-            x = group.mul(x, i)
-        return powers
-
-    basis: list[int] = []
-    basis_orders: list[int] = []
-    span = {0}
-    while len(span) < n:
-        cand = max((i for i in range(n)
-                    if i not in span and all(x == 0 or x not in span for x in cyclic_powers(i))),
-                   key=lambda i: (orders[i], -i))
-        basis.append(cand)
-        basis_orders.append(orders[cand])
-        span = {group.mul(a, b) for a in span for b in cyclic_powers(cand)}
-    # exponent vector of every element over the basis
-    coords = {0: tuple([0] * len(basis))}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for bi, b in enumerate(basis):
-                y = group.mul(x, b)
-                if y not in coords:
-                    vec = list(coords[x])
-                    vec[bi] = (vec[bi] + 1) % basis_orders[bi]
-                    coords[y] = tuple(vec)
-                    nxt.append(y)
-        frontier = nxt
-    if len(coords) != n or math.prod(basis_orders) != n:  # pragma: no cover
-        raise ArithmeticError("cyclic decomposition failed")
-
-    e = exponent(classes)
+    e, ids = exponent(classes), np.arange(n)
+    table = np.stack([group.right_map(y) for y in range(n)], axis=1)
+    orders = np.array(classes.element_orders)[classes.class_of]
+    pw = np.zeros((n, e), dtype=np.intp)
+    for t in range(1, e):
+        pw[:, t] = table[pw[:, t - 1], ids]
+    nontrivial = np.arange(1, e) < orders[:, None]
+    span, coords, basis_orders = ids == 0, np.zeros((n, 0), dtype=np.int64), []
+    while not span.all():
+        cand = np.flatnonzero(~span & ~(span[pw[:, 1:]] & nontrivial).any(axis=1))
+        b = cand[np.argmax(orders[cand])]
+        o, members = int(orders[b]), np.flatnonzero(span)
+        prods = table[members][:, pw[b, :o]]  # id(s b^t) for s in the span, t < o
+        if np.unique(prods).size != prods.size:  # pragma: no cover
+            raise ArithmeticError("cyclic decomposition failed: products repeat")
+        coords = np.hstack([coords, np.zeros((n, 1), dtype=np.int64)])
+        coords[prods] = coords[members][:, None]
+        coords[prods, -1] = np.arange(o)
+        basis_orders.append(o)
+        span[prods] = True
+    if math.prod(basis_orders) != n:  # pragma: no cover
+        raise ArithmeticError("cyclic decomposition failed: orders do not multiply to |G|")
+    chars = np.array(list(itertools.product(*map(range, basis_orders))), dtype=np.int64)
+    scale = e // np.array(basis_orders, dtype=np.int64)
+    expo = chars * scale @ coords[list(classes.reps)].T % e
+    class_orders = np.array(classes.element_orders, dtype=np.int64)
+    if (expo * class_orders % e).any():  # pragma: no cover
+        raise ArithmeticError("value escapes Q_o(g)")
+    root = functools.lru_cache(maxsize=None)(root_of_unity)
     rows = []
-    for char_vec in itertools.product(*(range(o) for o in basis_orders)):
-        counts = []
-        for j in range(classes.k):
-            a = coords[classes.reps[j]]
-            o = classes.element_orders[j]
-            expo = sum(c * ai * (e // oi) for c, ai, oi in zip(char_vec, a, basis_orders)) % e
-            # the value zeta_e^expo lies in Q_o; re-express it there
-            expo_o = expo * o // e
-            assert expo_o * (e // o) == expo, "value escapes Q_o(g)"
-            counts.append(tuple(int(d == expo_o) for d in range(o)))
-        rows.append((1, tuple(_lift(m) for m in counts), tuple(counts)))
+    for row in (expo * class_orders // e).tolist():  # zeta_e^expo = zeta_o^(expo o / e)
+        keys = list(zip(classes.element_orders, row))
+        counts = tuple(tuple(int(i == d) for i in range(o)) for o, d in keys)
+        rows.append((1, tuple(root(o, d) for o, d in keys), counts))
     return _sorted_table(group, classes, e, 0, rows)
 
 

@@ -312,7 +312,6 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     inverse transversals of all levels but the last are completed.
     """
     generators = list(generators)
-    ident = np.arange(degree, dtype=np.int32)
     levels: list[_Level] = []
 
     def check_size(level: _Level, m: int) -> None:
@@ -324,6 +323,9 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
             raise GroupTooLargeError(
                 f"group too large: {order} elements on {degree} points exceed the "
                 f"{TABLE_BYTES_LIMIT >> 20} MiB element table limit")
+
+    check_size(None, 1)  # the identity's row, which a group with no orbit has too
+    ident = np.arange(degree, dtype=np.int32)
 
     def insert(h: np.ndarray, lo: int) -> None:
         j = lo
@@ -692,12 +694,10 @@ def _left_maps(group: PermGroup, hs) -> np.ndarray:
 def _conjugation_maps(group: PermGroup) -> np.ndarray:
     """[i][x] = id(g_i^-1 x g_i): right[i] after the left map of g_i^-1.
 
-    Only the generators' inverses are sifted; no conjugate is.
+    right[i] is a permutation of the ids with id(g_i^-1 * g_i) = 0, so
+    g_i^-1 is where it holds 0, and nothing is sifted.
     """
-    inv_base = [[g.inverse().images[b] for b in group.base] for g in group.generators]
-    inv_ids = group.ids_of_base_images(
-        np.array(inv_base, dtype=np.int32).reshape(len(inv_base), len(group.base)))
-    return np.take_along_axis(group.right, _left_maps(group, inv_ids), axis=1)
+    return np.take_along_axis(group.right, _left_maps(group, group.right.argmin(axis=1)), axis=1)
 
 
 def _orbit_labels(maps, lab: np.ndarray) -> np.ndarray:
@@ -886,5 +886,15 @@ def group_to_json(degree: int, generators) -> str:
 
 
 def group_from_json(text: str) -> PermGroup:
+    """The group of {"degree": n, "generators": [[images], ...]}; a malformed
+    field raises ValueError naming it.  type(x) is int excludes bool."""
     obj = json.loads(text)
-    return enumerate_group(obj["degree"], [Permutation(g) for g in obj["generators"]])
+    if not isinstance(obj, dict):
+        raise ValueError("group JSON must be an object with 'degree' and 'generators'")
+    degree, gens = obj.get("degree"), obj.get("generators")
+    if not (type(degree) is int and degree >= 0):
+        raise ValueError("'degree' must be a non-negative integer")
+    if not (isinstance(gens, list) and all(
+            isinstance(g, list) and all(type(x) is int and x >= 0 for x in g) for g in gens)):
+        raise ValueError("'generators' must be a list of lists of non-negative integers")
+    return enumerate_group(degree, [Permutation(g) for g in gens])

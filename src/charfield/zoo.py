@@ -268,11 +268,6 @@ def sz(q: int):
     return len(points), perms
 
 
-def product(groups: list[PermGroup]) -> PermGroup:
-    """Direct product acting on the disjoint union of the factors' points."""
-    return enumerate_group(*_product_generators([(g.degree, g.generators) for g in groups]))
-
-
 def _product_generators(factors):
     degree = sum(d for d, _ in factors)
     gens = []

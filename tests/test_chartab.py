@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from charfield import modp
+from charfield import chartab, modp, perm
 from charfield.arith import element_of_order, is_prime, next_prime_in_progression, units
 from charfield.chartab import (
     PRIME_SEARCH_LIMIT,
@@ -447,12 +447,36 @@ def test_admissible_prime_values():
 
 
 def test_abelian_duality_oracle():
-    for spec in ("C2", "C4", "C6", "C8", "C9", "C2xC2", "C3xC3", "C2xC4", "C12", "C2xC2xC3"):
+    for spec in ("C1", "C2", "C4", "C6", "C8", "C9", "C2xC2", "C3xC3", "C2xC4", "C12",
+                 "C2xC2xC3", "C60", "C61", "C8xC8", "C4xC4xC4", "C2xC6xC4"):
         g = build(spec)
         t = dixon_table(g)
         dual = abelian_character_table(g, t.classes)
         assert t.degrees == dual.degrees, spec
         assert t.values == dual.values, spec
+        assert t.root_counts == dual.root_counts, spec
+
+
+def test_abelian_oracle_shares_no_arithmetic_with_dixon(monkeypatch):
+    # the oracle reads the right-multiplication maps and builds each root in
+    # closed form: no word walk, no sift and no lift from root counts
+    tables = {spec: dixon_table(build(spec)) for spec in ("C61", "C8xC8")}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle used the Dixon table's arithmetic")
+
+    monkeypatch.setattr(perm.PermGroup, "mul", refused)
+    monkeypatch.setattr(perm.PermGroup, "ids_of_base_images", refused)
+    monkeypatch.setattr(chartab, "cyclo_from_root_counts", refused)
+    for spec, t in tables.items():
+        dual = abelian_character_table(t.group, t.classes)
+        assert (dual.degrees, dual.values, dual.root_counts) == (
+            t.degrees, t.values, t.root_counts), spec
+
+
+def test_abelian_oracle_refuses_past_the_class_limit():
+    with pytest.raises(ComputationError, match="65 classes exceeds the supported maximum of 64"):
+        abelian_character_table(build("C65"))
 
 
 def test_abelian_oracle_rejects_nonabelian():

@@ -166,6 +166,14 @@ def test_wide_json_group_stops_at_the_table_limit():
     assert "element table limit" in done.stderr
 
 
+def test_json_group_with_no_orbit_stops_at_the_table_limit():
+    # the trivial group on 10**9 points has no orbit to check, but its
+    # identity row alone would take 4 GB
+    done = run_capped(JSON_CHILD, stdin=json.dumps({"degree": 10**9, "generators": []}))
+    assert done.returncode == 3, done.stderr
+    assert "1 elements on 1000000000 points exceed" in done.stderr
+
+
 @pytest.mark.parametrize("copies,code", [(1, 0), (200, 3)])
 def test_repeated_generators_count_against_the_table_limit(copies, code):
     # S9 on 9 points has a 13 MiB table, and each generator a 1.4 MiB

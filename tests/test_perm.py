@@ -274,6 +274,19 @@ def test_json_roundtrip():
     assert group_to_json(5, g.generators) == text
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"degree": -1, "generators": []}', "'degree'"),
+    ('{"degree": 2.5, "generators": []}', "'degree'"),
+    ('{"degree": 2, "generators": [[1.5, 0]]}', "'generators'"),
+    ('{"degree": 2, "generators": [[true, 0]]}', "'generators'"),
+    ('[2, [[1, 0]]]', "object"),
+], ids=["negative degree", "fractional degree", "fractional image", "bool image",
+        "top-level list"])
+def test_json_rejects_malformed_fields(text, field):
+    with pytest.raises(ValueError, match=field):
+        group_from_json(text)
+
+
 def full_row_closure(degree, gens):
     """Oracle: the breadth-first closure deduplicated by whole rows."""
     ident = np.arange(degree, dtype=np.int32)
@@ -508,9 +521,9 @@ def test_tree_maps_and_mul_against_products(spec):
     assert np.array_equal(g.rows_of(ids, per_id), np.take_along_axis(rows[ids], per_id, axis=1))
 
 
-def test_conjugation_maps_sift_only_the_inverse_generators(monkeypatch):
+def test_conjugation_maps_sift_no_row(monkeypatch):
     g = build("A5")
-    want = perm._conjugation_maps(g)
+    want, classes = perm._conjugation_maps(g), conjugacy_classes(g)
     lookup, sifted = perm.PermGroup.ids_of_base_images, []
 
     def counted(self, images):
@@ -519,7 +532,8 @@ def test_conjugation_maps_sift_only_the_inverse_generators(monkeypatch):
 
     monkeypatch.setattr(perm.PermGroup, "ids_of_base_images", counted)
     assert np.array_equal(perm._conjugation_maps(g), want)
-    assert sifted == [len(g.generators)]
+    assert np.array_equal(conjugacy_classes(g).class_of, classes.class_of)
+    assert sifted == []
 
 
 @pytest.mark.parametrize("spec", MAP_GROUPS)

@@ -23,7 +23,6 @@ from charfield.zoo import (
     dihedral,
     frobenius,
     parse_spec,
-    product,
     psl2,
     sl2,
     symmetric,
@@ -116,11 +115,11 @@ def test_suzuki_group():
 
 
 def test_product():
-    g = product([cyclic(2), cyclic(2)])
+    g = build("C2xC2")
     assert g.order == 4
     assert element_order_spectrum(g) == (2,)
-    assert product([cyclic(3), cyclic(3)]).order == 9
-    assert product([cyclic(1), cyclic(7)]).order == 7
+    assert build("C3xC3").order == 9
+    assert build("C1xC7").order == 7
 
 
 def test_closed_form_orders_via_build():
@@ -183,7 +182,6 @@ def test_degree_multiset_match_needs_table():
 
 def test_product_checks_the_cap_before_enumerating(monkeypatch):
     # |S8 x C25| = 40320 * 25 = 1,008,000 exceeds the cap of 10**6
-    factors = [build("S8"), build("C25")]
     orders = []
 
     def closure_refused(chain, f0, t1, gens):
@@ -192,7 +190,7 @@ def test_product_checks_the_cap_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(perm, "_closure", closure_refused)
     with pytest.raises(GroupTooLargeError, match="closure exceeded the cap of 1000000 elements"):
-        product(factors)
+        build("S8xC25")
     assert orders == []
 
 
