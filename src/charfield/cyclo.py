@@ -432,10 +432,10 @@ def degree_over_Q(c: Cyclo) -> int:
         return 1
     # a rational scale does not change the stabilizer, so den plays no part
     p, theta = _eval_point(n)
-    ks = units(n)
+    ks = np.array(units(n))
     coeffs = np.array([[x % p for x in c.coeffs]], dtype=np.int64)
     imgs = modp.evaluate(coeffs, theta, n, ks, p)[0]
-    stab = [k for k, img in zip(ks, imgs) if img == imgs[0] and galois(c, k) == c]
+    stab = [k for k in ks[imgs == imgs[0]].tolist() if galois(c, k) == c]
     phi = euler_phi(n)
     if phi % len(stab):  # pragma: no cover - stabilizer is a subgroup
         raise ArithmeticError("stabilizer size does not divide phi(n)")

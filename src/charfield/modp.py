@@ -9,6 +9,8 @@ lists, lowest degree first, normalized monic where stated.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Evaluation primes are searched from here on: while (p - 1)^2 < 2^42,
@@ -42,17 +44,31 @@ def evaluate(coeffs: np.ndarray, theta: int, order: int, ks, p: int,
     turns the values chi(g^t), t < o, into the multiplicities of the o-th
     roots of unity in chi(g).  Columns are taken in blocks so that the
     L x |ks| power matrix stays small.
+
+    The power matrix is powers[e] with e = d * ks[a] mod order.  Writing
+    d = q*b + s with b = ceil(sqrt(L)) and s < b, e is congruent to
+    high[q, a] + low[s, a], the residues of q*b*ks[a] and s*ks[a], and that
+    sum lies in [0, 2*order).  theta has order `order`, so the powers repeat
+    with that period: a table of 2*order powers is indexed by the sum
+    directly, and only the two b x |ks| tables are reduced mod order, not
+    every entry of the L x |ks| one.
     """
-    powers = np.empty(order, dtype=np.int64)
-    x = scale % p
-    for d in range(order):
-        powers[d] = x
+    x, powers = scale % p, []
+    for _ in range(order):
+        powers.append(x)
         x = x * theta % p
+    powers = np.array(powers * 2, dtype=np.int64)
     ks = np.asarray(ks, dtype=np.int64) % order
-    ds = np.arange(coeffs.shape[1], dtype=np.int64)
-    step = max(1, (1 << 22) // max(1, len(ds)))
-    return np.hstack([mat_mul(coeffs, powers[np.outer(ds, ks[a:a + step]) % order], p)
-                      for a in range(0, len(ks), step)])
+    rows = coeffs.shape[1]
+    b = math.isqrt(max(rows - 1, 0)) + 1
+    low = np.multiply.outer(np.arange(b), ks) % order
+    high = np.multiply.outer(np.arange(0, rows, b), ks) % order
+    step = max(1, (1 << 22) // max(1, rows))
+    out = np.empty((coeffs.shape[0], len(ks)), dtype=np.int64)
+    for a in range(0, len(ks), step):
+        e = high[:, None, a:a + step] + low[:, a:a + step]
+        out[:, a:a + step] = mat_mul(coeffs, powers[e.reshape(-1, e.shape[2])[:rows]], p)
+    return out
 
 
 def _reduced(A, p: int) -> np.ndarray:

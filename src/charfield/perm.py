@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,13 +60,24 @@ class GroupTooLargeError(ValueError):
     """A group past the element cap or past TABLE_BYTES_LIMIT."""
 
 
+def _point(x) -> int:
+    """An image as a point: operator.index takes ints and numpy integers and
+    refuses floats and numpy bools; bool, an int subclass, is refused by name."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"image {x!r} is not an integer")
+
+
 class Permutation:
     """A permutation of {0..degree-1}; images[i] is the image of point i."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
+        images = tuple(map(_point, images))
         n = len(images)
         seen = [False] * n
         for x in images:
@@ -484,13 +496,6 @@ class PermGroup:
     def __contains__(self, perm: Permutation) -> bool:
         return self._find(perm) >= 0
 
-    def mul(self, i: int, j: int) -> int:
-        """Id of x*y for element ids x, y: with y = g_{a_1} ... g_{a_m} (word),
-        x*y is x right-multiplied by each letter in turn, one map read each."""
-        for a in self.word(j):
-            i = self.right[a, i]
-        return int(i)
-
     def right_map(self, z: int) -> np.ndarray:
         """The id of x * z for every id x: products compose as functions, so
         with z = g_{a_1} ... g_{a_m} (word), x z = (...(x g_{a_1}) ...) g_{a_m}
@@ -832,11 +837,12 @@ def derived_subgroup(group: PermGroup) -> Subgroup:
     the generator pairs.
 
     right[i] is a permutation of the ids with id(g_i^-1 * g_i) = 0, so g_i^-1
-    is where it holds 0; then [g_i, g_j] = right[j][right[i][g_i^-1 g_j^-1]].
+    is where it holds 0; likewise g_i^-1 g_j^-1 is where right[j] holds
+    id(g_i^-1), and then [g_i, g_j] = right[j][right[i][g_i^-1 g_j^-1]].
     """
     right = group.right
     inv = right.argmin(axis=1).tolist()
-    seeds = [right[j, right[i, group.mul(inv[i], inv[j])]]
+    seeds = [right[j, right[i, int(np.argmax(right[j] == inv[i]))]]
              for i in range(len(inv)) for j in range(len(inv))]
     gens, lab = _generated(group, seeds, _conjugation_maps(group))
     return Subgroup(group, frozenset(np.flatnonzero(lab == 0).tolist()), tuple(gens))

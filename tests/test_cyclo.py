@@ -144,6 +144,36 @@ def test_degrees():
     assert degree_over_Q(root_of_unity(9)) == 6
 
 
+def _stabilizer_degree(c):
+    # reference: phi(n) over the size of the stabilizer of c, taken over every
+    # unit with the exact Galois action
+    ks = [k for k in range(1, c.n + 1) if gcd(k, c.n) == 1]
+    return len(ks) // sum(galois(c, k) == c for k in ks)
+
+
+def test_degree_against_the_exact_stabilizer():
+    # sums of roots of unity of every order up to 120 (orders 2 mod 4 descend
+    # to half), their rational multiples, and Gaussian periods, whose
+    # stabilizers hold a whole cyclic subgroup of units
+    rng = random.Random(16)
+    zero = Cyclo.from_rational(0)
+    values = []
+    for n in range(1, 121):
+        for _ in range(2):
+            c = sum((root_of_unity(n, rng.randrange(n)) for _ in range(rng.randint(1, 4))), zero)
+            values += [c, c * Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 7))]
+        a = rng.choice([k for k in range(1, n + 1) if gcd(k, n) == 1])
+        powers, x = {1 % n}, a % n
+        while x not in powers:
+            powers.add(x)
+            x = x * a % n
+        values.append(sum((root_of_unity(n, x) for x in powers), zero))
+    assert any(v.n % 4 == 0 for v in values) and any(v.n % 2 for v in values)
+    assert any(_stabilizer_degree(v) < totient(v.n) // 2 for v in values)
+    for c in values:
+        assert degree_over_Q(c) == _stabilizer_degree(c), c
+
+
 def test_omega_degree_fixtures():
     assert omega_degree(4) == 1
     assert omega_degree(9) == 3

@@ -56,6 +56,20 @@ def test_invalid_generator_rejected():
         enumerate_group(3, [Permutation([0, 1])])
 
 
+@pytest.mark.parametrize("images", [[1.5, 0], [True, 0], [1, False], [np.float64(1), 0],
+                                    [np.True_, 0], ["1", 0]],
+                         ids=["float", "bool", "bool zero", "numpy float", "numpy bool", "str"])
+def test_non_integer_images_rejected(images):
+    with pytest.raises(ValueError, match="is not an integer"):
+        Permutation(images)
+
+
+def test_numpy_integer_images_accepted():
+    for dtype in (np.int32, np.int64, np.uint8):
+        p = Permutation(np.array([1, 2, 0], dtype=dtype))
+        assert p.images == (1, 2, 0) and all(type(x) is int for x in p.images)
+
+
 def test_cap_enforced():
     with pytest.raises(GroupTooLargeError):
         enumerate_group(5, A5.generators, cap=10)
@@ -159,11 +173,12 @@ def close_subgroup(group, gen_ids):
     elems = {0} | set(gen_ids)
     frontier = list(elems - {0})
     gens = sorted(gen_ids)
+    maps = {g: group.right_map(g) for g in gens}
     while frontier:
         nxt = []
         for x in frontier:
             for g in gens:
-                y = group.mul(x, g)
+                y = int(maps[g][x])
                 if y not in elems:
                     elems.add(y)
                     nxt.append(y)
@@ -176,10 +191,12 @@ def test_derived_subgroup_matches_all_commutators():
     for g in (S3, S4, C4, A5, build("D18"), build("F52"), build("SL(2,5)")):
         d = derived_subgroup(g)
         inv = inverse_ids(g)
+        maps = [g.right_map(y) for y in range(g.order)]
         comm = set()
         for a in range(g.order):
             for b in range(g.order):
-                comm.add(g.mul(g.mul(inv[a], inv[b]), g.mul(a, b)))
+                # x*y is maps[y][x]
+                comm.add(int(maps[maps[b][a]][maps[inv[b]][inv[a]]]))
         assert close_subgroup(g, comm - {0}) == set(d.element_ids)
         # a short generating list: each generator at least doubles the span
         assert list(d.generator_ids) == sorted(d.generator_ids)
@@ -510,7 +527,7 @@ def test_tree_maps_and_mul_against_products(spec):
         assert cmap.tolist() == [full[row.tobytes()] for row in conjugates]
     for _ in range(50):
         x, y = rng.randrange(g.order), rng.randrange(g.order)
-        assert g.mul(x, y) == full[rows[x][rows[y]].tobytes()]
+        assert g.right_map(y)[x] == full[rows[x][rows[y]].tobytes()]
     for z in hs:
         assert g.right_map(z).tolist() == [full[row.tobytes()] for row in rows[:, rows[z]]]
     # rows_of at points: one row of points for every id, or one per id
