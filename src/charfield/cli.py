@@ -101,6 +101,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+# the commands over a range of integers >= 3: the variable, the row's
+# columns, the pretty header and the row of each integer
+_RANGE_COMMANDS = {
+    "omega": ("r", ("r", "degree"), "r  degree(zeta_r + 1/zeta_r)",
+              lambda r, args: (r, omega_degree(r))),
+    "subfields": ("n", ("n", "d", "count"), "n  d  subfield count",
+                  lambda n, args: (n, args.d, count_subfields(n, args.d).count)),
+}
+
+
 def _emit(text: str, out: str | None, code: int = EXIT_OK) -> int:
     """Write text to the file out, or to stdout, and return code; a file
     that cannot be written is an output error, exit 2."""
@@ -133,16 +143,13 @@ def main(argv=None) -> int:
                     choices=("theorem-a", "exclusions", "omega", "subfields", "bounds", "all"))
     sp.add_argument("--out")
 
-    sp = sub.add_parser("omega")
-    sp.add_argument("range", help="r or lo..hi (r >= 3)")
-    sp.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("subfields")
-    sp.add_argument("range", help="n or lo..hi (n >= 3)")
-    sp.add_argument("--d", type=int, required=True, choices=(2, 3))
-    sp.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    sp.add_argument("--out")
+    for cmd, (var, *_) in _RANGE_COMMANDS.items():
+        sp = sub.add_parser(cmd)
+        sp.add_argument("range", help=f"{var} or lo..hi ({var} >= 3)")
+        if cmd == "subfields":
+            sp.add_argument("--d", type=int, required=True, choices=(2, 3))
+        sp.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+        sp.add_argument("--out")
 
     args = parser.parse_args(argv)
 
@@ -170,40 +177,23 @@ def main(argv=None) -> int:
             return _emit("\n".join(lines) + "\n", args.out,
                          EXIT_OK if all(s.ok for s in suites) else EXIT_VERIFY)
 
-        if args.command == "omega":
+        if args.command in _RANGE_COMMANDS:
+            var, columns, head, row = _RANGE_COMMANDS[args.command]
             try:
                 lo, hi = _parse_range(args.range)
                 if lo < 3:
-                    raise ValueError("omega needs r >= 3")
+                    raise ValueError(f"{args.command} needs {var} >= 3")
             except ValueError as exc:
                 print(f"range error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
-            rows = [(r, omega_degree(r)) for r in range(lo, hi + 1)]
+            rows = [row(x, args) for x in range(lo, hi + 1)]
             if args.format == "json":
-                text = json.dumps([{"r": r, "degree": d} for r, d in rows],
+                text = json.dumps([dict(zip(columns, r)) for r in rows],
                                   separators=(",", ":")) + "\n"
             else:
-                head = "r,degree" if args.format == "csv" else "r  degree(zeta_r + 1/zeta_r)"
                 sep = "," if args.format == "csv" else "  "
-                text = "\n".join([head] + [f"{r}{sep}{d}" for r, d in rows]) + "\n"
-            return _emit(text, args.out)
-
-        if args.command == "subfields":
-            try:
-                lo, hi = _parse_range(args.range)
-                if lo < 3:
-                    raise ValueError("subfields needs n >= 3")
-            except ValueError as exc:
-                print(f"range error: {exc}", file=sys.stderr)
-                return EXIT_PARSE
-            rows = [(n, args.d, count_subfields(n, args.d).count) for n in range(lo, hi + 1)]
-            if args.format == "json":
-                text = json.dumps([{"n": n, "d": d, "count": c} for n, d, c in rows],
-                                  separators=(",", ":")) + "\n"
-            else:
-                head = "n,d,count" if args.format == "csv" else "n  d  subfield count"
-                sep = "," if args.format == "csv" else "  "
-                text = "\n".join([head] + [f"{n}{sep}{d}{sep}{c}" for n, d, c in rows]) + "\n"
+                head = sep.join(columns) if args.format == "csv" else head
+                text = "\n".join([head] + [sep.join(map(str, r)) for r in rows]) + "\n"
             return _emit(text, args.out)
     except ComputationError as exc:
         print(f"computation error: {exc}", file=sys.stderr)

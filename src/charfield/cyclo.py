@@ -198,10 +198,6 @@ class Cyclo:
             return other
         den = lcm(self.den, other.den)
         sa, sb = den // self.den, den // other.den
-        if self.n == other.n:
-            # both reduced mod the same Phi_n; only the conductor can drop
-            return _from_reduced(self.n, [a * sa + b * sb
-                                          for a, b in zip(self.coeffs, other.coeffs)], den)
         big = lcm(self.n, other.n)
         dense = [0] * big
         for x, scale in ((self, sa), (other, sb)):
@@ -310,10 +306,19 @@ class Cyclo:
 
     @staticmethod
     def from_obj(obj) -> "Cyclo":
-        dense = [0] * obj["n"]
+        """The value of to_obj's form; an exponent that is not an int in
+        range(n), or is repeated, or a zero denominator raises ValueError
+        naming it.  type(i) is int excludes bool."""
+        n, terms = obj["n"], {}
         for i, num, den in obj["c"]:
-            dense[i] = Fraction(num, den)
-        return Cyclo(obj["n"], dense)
+            if type(i) is not int or not 0 <= i < n:
+                raise ValueError(f"exponent {i!r} is not in range({n})")
+            if i in terms:
+                raise ValueError(f"exponent {i} is repeated")
+            if not den:
+                raise ValueError(f"exponent {i} has a zero denominator")
+            terms[i] = Fraction(num, den)
+        return Cyclo(n, [terms.get(i, 0) for i in range(n)])
 
 
 def _coerce(x) -> "Cyclo":
@@ -327,11 +332,8 @@ def _coerce(x) -> "Cyclo":
 
 
 def _from_dense(n: int, dense: list[int], den: int = 1) -> Cyclo:
-    return _from_reduced(n, _reduce_mod_phi(n, dense), den)
-
-
-def _from_reduced(n: int, vec: list[int], den: int) -> Cyclo:
-    # vec/den, vec already reduced mod Phi_n; descent and content remain
+    # dense/den: reduce mod Phi_n, descend, then take out the content
+    vec = _reduce_mod_phi(n, dense)
     while n > 1:
         step = _descend_once(n, vec)
         if step is None:

@@ -250,7 +250,13 @@ def poly_deriv(f, p):
 
 
 def distinct_roots(f, p):
-    """All roots of f in GF(p), each once, ascending (deterministic)."""
+    """All roots of f in GF(p), each once, ascending (deterministic).
+
+    The split takes gcd(h, (x + s)^((p-1)/2) - 1), which is h itself when
+    p = 2, so an even p raises ValueError.
+    """
+    if p % 2 == 0:
+        raise ValueError(f"p = {p}: the root split needs an odd prime")
     f = poly_trim([x % p for x in f])
     if len(f) <= 1:
         return []

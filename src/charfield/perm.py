@@ -435,16 +435,13 @@ class PermGroup:
         points, only their images there: x(p) for one row of points shared
         by every id, or for one row of points per id.
 
-        Two gathers, x(p) = F_0[c_0][T_1[r][p]] for x's key c_0 * |G^(1)| + r
-        (see the class docstring).
+        Two gathers, x(p) = F_0[c_0][T_1[r][p]] (_images; see the class
+        docstring).
         """
-        c0, r = np.divmod(self._key_of_id[np.asarray(ids, dtype=np.intp)], len(self._t1))
         if points is None:
             points = np.arange(self.degree, dtype=np.int32)
-        # r * degree + p < |G^(1)| * degree and c_0 * degree + p < |Delta_0| *
-        # degree, both at most |G| * degree <= 2**26 (TABLE_BYTES_LIMIT / 4)
-        inner = self._t1.ravel().take(points + (r * self.degree)[:, None])
-        return self._f0.ravel().take(inner + (c0 * self.degree)[:, None])
+        keys = self._key_of_id[np.asarray(ids, dtype=np.intp)][:, None]
+        return _images(self._f0, self._t1, _key_starts(keys, self._t1), points)
 
     def ids_of_base_images(self, images) -> np.ndarray:
         """Ids of the elements of G with the given base images, one row each.
@@ -545,6 +542,21 @@ def _factor_tables(chain: StabilizerChain) -> tuple[np.ndarray, np.ndarray]:
     return (chain.transversals[0] if chain.base else ident), t
 
 
+def _key_starts(keys, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_0 * degree and r * degree for the keys c_0 * |G^(1)| + r: where the
+    rows u_{c_0} and T_1[r] start in the flattened F_0 and T_1."""
+    c0, r = np.divmod(keys, len(t1))
+    return c0 * t1.shape[1], r * t1.shape[1]
+
+
+def _images(f0: np.ndarray, t1: np.ndarray, starts, points, out=None) -> np.ndarray:
+    """x(p) = F_0[c_0][T_1[r][p]] from x's _key_starts, broadcast against the
+    points.  r * degree + p and c_0 * degree + p are below
+    |G| * degree <= 2**26 (TABLE_BYTES_LIMIT / 4), so int32 holds them."""
+    f0_start, t1_start = starts
+    return f0.ravel().take(t1.ravel().take(points + t1_start) + f0_start, out=out)
+
+
 def _closure(chain: StabilizerChain, f0: np.ndarray, t1: np.ndarray,
              gens: list[Permutation]) -> dict:
     """Ids in breadth-first order, identity first: the id of each chain key
@@ -554,16 +566,15 @@ def _closure(chain: StabilizerChain, f0: np.ndarray, t1: np.ndarray,
     their chain keys, which are distinct on G: a product is new when its key
     has no id yet, and within a frontier the first occurrence of each key
     wins, as in a scan over full rows.  Only the base images x(g(b)) are
-    read and sifted: F_0[c_0][T_1[r][p]] for x's key c_0 * |G^(1)| + r,
-    two flat gathers at each distinct point p = g_i(b_j), with T_1's columns
-    at those points taken once.  Once a frontier's new elements have ids,
+    read and sifted: x(p) at each distinct point p = g_i(b_j) (_images),
+    one point at a time.  Once a frontier's new elements have ids,
     the ids of all its products give right[i][x] = id(x * g_i) for each x in
     the frontier; a new element z = x * g_i records parent[z] = x and
     parent_gen[z] = i, and x came from an earlier frontier, so
     parent[z] < z.  Every level writes these arrays by slices.  A count
     other than |G| raises ArithmeticError.
     """
-    order, degree, k, n_gens = chain.order, chain.degree, len(chain.base), len(gens)
+    order, k, n_gens = chain.order, len(chain.base), len(gens)
     id_of_key = np.full(order, -1, dtype=np.int32)
     key_of_id = np.empty(order, dtype=np.int32)
     # the identity's positions are all 0: b_i comes first in Delta_i
@@ -573,20 +584,17 @@ def _closure(chain: StabilizerChain, f0: np.ndarray, t1: np.ndarray,
     parent_gen = np.zeros(order, dtype=np.min_scalar_type(max(n_gens - 1, 0)))
     count, lo = 1, 0
     if gens:
-        # the distinct points g_i(b_j), where[i][j] the index of g_i(b_j)
-        # among them, and T_1's column at each
+        # the distinct points g_i(b_j), and where[i][j] the index of g_i(b_j)
+        # among them
         points, where = np.unique(np.array([g.images[b] for g in gens for b in chain.base],
                                            dtype=np.intp), return_inverse=True)
-        where = where.reshape(n_gens, k)
-        t1_at = np.ascontiguousarray(t1[:, points].T)
-        f0_flat = f0.ravel()
+        points, where = points.tolist(), where.reshape(n_gens, k)
         while lo < count:
-            c0, r = np.divmod(key_of_id[lo:count], len(t1))
-            offset = c0 * degree
-            # at[q][x] = x(points[q]) for the frontier's x
+            # at[q][x] = x(points[q]) for the frontier's x, one point at a time
+            starts = _key_starts(key_of_id[lo:count], t1)
             at = np.empty((len(points), count - lo), dtype=np.int32)
-            for q, column in enumerate(t1_at):
-                f0_flat.take(column.take(r) + offset, out=at[q])
+            for q, p in enumerate(points):
+                _images(f0, t1, starts, p, out=at[q])
             # (x * g_i)(b_j) = x(g_i(b_j)); each generator's base images are
             # sifted as one column per base point, and the keys read x-major
             keys = np.empty((count - lo, n_gens), dtype=np.int64)

@@ -140,10 +140,16 @@ def _sl2_generators(F):
     return gens
 
 
-def _mat2_apply(mat, vec):
-    (a, b), (c, d) = mat
-    u, v = vec
-    return (a * u + b * v, c * u + d * v)
+def _mat_apply(mat, vec):
+    return tuple(sum((row[j] * vec[j] for j in range(1, len(vec))), row[0] * vec[0])
+                 for row in mat)
+
+
+def _point_action(mats, points, image):
+    """The permutations of the points, in list order, by which the matrices
+    act, the image of point pt under mat being image(mat, pt)."""
+    index = {pt: i for i, pt in enumerate(points)}
+    return len(points), [Permutation([index[image(mat, pt)] for pt in points]) for mat in mats]
 
 
 @_enumerated
@@ -153,19 +159,14 @@ def psl2(q: int):
         raise SpecSemanticError("PSL(2,q) is supported for 4 <= q <= 32")
     p, m = _prime_power(q)
     F = field(p, m)
-    points = _proj_line_points(F)
-    index = {pt: i for i, pt in enumerate(points)}
 
-    def normalize(vec):
-        u, v = vec
+    def image(mat, pt):
+        u, v = _mat_apply(mat, pt)
         if v:
             return (u * v.inv(), F.one)
         return (F.one, F.zero)
 
-    perms = []
-    for mat in _sl2_generators(F):
-        perms.append(Permutation([index[normalize(_mat2_apply(mat, pt))] for pt in points]))
-    return len(points), perms
+    return _point_action(_sl2_generators(F), _proj_line_points(F), image)
 
 
 @_enumerated
@@ -177,11 +178,7 @@ def sl2(q: int):
     F = field(p, m)
     points = [(F.from_int(i), F.from_int(j)) for i in range(F.order) for j in range(F.order)
               if i or j]
-    index = {pt: i for i, pt in enumerate(points)}
-    perms = []
-    for mat in _sl2_generators(F):
-        perms.append(Permutation([index[_mat2_apply(mat, pt)] for pt in points]))
-    return len(points), perms
+    return _point_action(_sl2_generators(F), points, _mat_apply)
 
 
 # -- the Suzuki group -------------------------------------------------------
@@ -199,11 +196,6 @@ def sl2(q: int):
 # These stabilize the ovoid O = {(1:0:0:0)} u {(f(a,b) : b : a : 1)}; the
 # permutation representation is the action on the orbit of (1:0:0:0),
 # which must have exactly q^2 + 1 points.
-
-
-def _mat4_mul_vec(mat, vec):
-    return tuple(sum((row[j] * vec[j] for j in range(1, 4)), row[0] * vec[0])
-                 for row in mat)
 
 
 @_enumerated
@@ -241,31 +233,25 @@ def sz(q: int):
          (one, zero, zero, zero))
     gens = [u(one, zero), u(zero, one), m_kappa, w]
 
-    def normalize(vec):
-        lead = next(x for x in vec if x)
-        inv = lead.inv()
+    def image(mat, pt):
+        vec = _mat_apply(mat, pt)
+        inv = next(x for x in vec if x).inv()
         return tuple(inv * x for x in vec)
 
-    start = normalize((one, zero, zero, zero))
-    points = [start]
-    index = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for mat in gens:
-                img = normalize(_mat4_mul_vec(mat, pt))
-                if img not in index:
-                    index[img] = len(points)
-                    points.append(img)
-                    nxt.append(img)
-        frontier = nxt
+    # the orbit of (1:0:0:0), breadth first, each point's images in
+    # generator order
+    points = [(one, zero, zero, zero)]
+    seen = set(points)
+    for pt in points:
+        for mat in gens:
+            img = image(mat, pt)
+            if img not in seen:
+                seen.add(img)
+                points.append(img)
     if len(points) != q * q + 1:
         raise ArithmeticError(
             f"Suzuki ovoid orbit has {len(points)} points, expected {q * q + 1}")
-    perms = [Permutation([index[normalize(_mat4_mul_vec(mat, pt))] for pt in points])
-             for mat in gens]
-    return len(points), perms
+    return _point_action(gens, points, image)
 
 
 def _product_generators(factors):

@@ -21,7 +21,9 @@ from charfield.chartab import (
 from charfield.cyclo import Cyclo, galois, root_of_unity
 from charfield.fov import f_value, field_of_values
 from charfield.perm import conjugacy_classes
+from charfield.verify import EXCLUSIONS, THEOREM_A_F2, THEOREM_A_F3
 from charfield.zoo import build
+from test_pipeline_random import random_groups
 
 
 def table(spec, prime=None):
@@ -69,6 +71,14 @@ def test_distinct_roots_random_products():
         for r in roots:
             f = modp.poly_mul(f, [-r % p, 1], p)
         assert modp.distinct_roots(f, p) == roots
+
+
+def test_distinct_roots_refuses_p_2():
+    # x^2 + x has the roots 0 and 1 mod 2, but (x + s)^((p-1)/2) - 1 is 0
+    # for p = 2, so no shift splits it
+    with pytest.raises(ValueError, match="odd prime"):
+        modp.distinct_roots([0, 1, 1], 2)
+    assert modp.distinct_roots([0, 1, 1], 3) == [0, 2]
 
 
 def test_nullspace():
@@ -359,8 +369,10 @@ def test_class_coefficients_independent_of_z():
     ids_by_class = [[] for _ in range(cd.k)]
     for i in range(g.order):
         ids_by_class[cd.class_of[i]].append(i)
-    choice = {k: rng.choice(ids_by_class[k]) for k in range(cd.k)}
-    b = class_multiplication_coefficients(g, cd, z_choice=choice)
+    # a member other than the smallest wherever the class has one
+    choice = tuple(rng.choice(ids[1:] or ids) for ids in ids_by_class)
+    assert [z != rep for z, rep in zip(choice, cd.reps)] == [s > 1 for s in cd.sizes]
+    b = class_multiplication_coefficients(g, dataclasses.replace(cd, reps=choice))
     assert (a == b).all()
 
 
@@ -551,6 +563,39 @@ def test_galois_action_against_every_unit(spec):
     want = {k: tuple(index[tuple(galois(v, k) for v in row)] for row in t.values)
             for k in units(t.exponent)}
     assert t.galois_action == want
+
+
+@pytest.mark.parametrize("spec", ["PSL(2,8)", "F21", "C7xC7"])
+def test_galois_action_applies_galois_once_per_value(spec, monkeypatch):
+    # entries repeat, so each tested unit costs one galois call per
+    # distinct value, not one per entry
+    t, calls = table(spec), Counter()
+    real = chartab.galois
+
+    def counted(v, k):
+        calls[k] += 1
+        return real(v, k)
+
+    monkeypatch.setattr(chartab, "galois", counted)
+    assert t.galois_action is not None
+    distinct = len(set().union(*t.values))
+    assert distinct < t.k * t.k
+    assert calls and set(calls.values()) == {distinct}
+
+
+def test_is_abelian_against_pairwise_products():
+    # oracle: every pair of generators multiplied as Permutations
+    corpus = sorted({c.spec for c in THEOREM_A_F2 + THEOREM_A_F3 + EXCLUSIONS})
+    groups = [build(spec) for spec in corpus]
+    for degree, seed in ((6, 101), (7, 202)):
+        groups += [g for g, _ in random_groups(seed, 4, degree)]
+    groups += [build("A2"), perm.enumerate_group(0, [])]  # no generators
+    seen = set()
+    for g in groups:
+        want = all(a * b == b * a for a in g.generators for b in g.generators)
+        assert chartab.is_abelian(g) == want, g
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_fields_of_values_need_a_closed_row_set():

@@ -234,6 +234,43 @@ def test_serialization_roundtrip():
     assert str(root_of_unity(5, 2) + root_of_unity(5, 3)) == "E(5)^2+E(5)^3"
 
 
+@pytest.mark.parametrize("obj,fault", [
+    ({"n": 3, "c": [[-1, 1, 1]]}, "not in range"),
+    ({"n": 3, "c": [[5, 1, 1]]}, "not in range"),
+    ({"n": 4, "c": [[True, 1, 1]]}, "not in range"),
+    ({"n": 4, "c": [[1.0, 1, 1]]}, "not in range"),
+    ({"n": 4, "c": [[1, 2, 1], [1, 1, 1]]}, "repeated"),
+    ({"n": 4, "c": [[0, 1, 1], [1, 1, 0]]}, "zero denominator"),
+])
+def test_from_obj_refuses_malformed_exponents(obj, fault):
+    with pytest.raises(ValueError, match=fault):
+        Cyclo.from_obj(obj)
+
+
+def test_equal_conductor_sums_against_the_constructor():
+    # oracle: Cyclo(n, coeffs) reduces the summed coordinates and walks the
+    # conductor down from scratch; b = -a cancels, and b = r - a for r in a
+    # subfield drops the conductor
+    rng = random.Random(60)
+    cancelled = dropped = 0
+    for n in range(1, 61):
+        for _ in range(8):
+            a = Cyclo(n, [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                          for _ in range(rng.randint(1, n))])
+            d = rng.choice([d for d in range(1, a.n + 1) if a.n % d == 0])
+            r = rng.randint(-2, 2) * root_of_unity(d, rng.randrange(d))
+            b = rng.choice([-a, r - a, Cyclo(n, [rng.randint(-2, 2) for _ in range(n)])])
+            if b.n != a.n:
+                continue
+            got = a + b
+            want = Cyclo(a.n, [Fraction(x, a.den) + Fraction(y, b.den)
+                               for x, y in zip(a.coeffs, b.coeffs)])
+            assert (got.n, got.coeffs, got.den) == (want.n, want.coeffs, want.den), (a, b)
+            cancelled += got == 0 and a != 0
+            dropped += got != 0 and got.n < a.n
+    assert cancelled > 50 and dropped > 50
+
+
 def test_sort_key_total_order():
     vals = [root_of_unity(5), root_of_unity(3), Cyclo.from_rational(2), -root_of_unity(3)]
     keys = [v.sort_key() for v in vals]

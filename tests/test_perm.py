@@ -470,14 +470,14 @@ def map_group(spec):
     return chain_group(spec)
 
 
-def sifted_coefficients(g, classes, z_choice=None):
+def sifted_coefficients(g, classes):
     """The class coefficients counted by sifting every product w*z through
-    the chain, with x = w^-1 looked up as the inverse of w."""
+    the chain, z the class representatives, with x = w^-1 looked up as the
+    inverse of w."""
     r, rows = classes.k, all_rows(g)
     a = np.zeros((r, r, r), dtype=np.int64)
     x_class = classes.class_of[inverse_ids(g)]
-    for k in range(r):
-        z = classes.reps[k] if z_choice is None else z_choice[k]
+    for k, z in enumerate(classes.reps):
         wz = g.ids_of_base_images(rows[:, rows[z, list(g.base)]])
         counts = np.bincount(x_class * r + classes.class_of[wz], minlength=r * r)
         a[:, :, k] = counts.reshape(r, r)
@@ -562,9 +562,13 @@ def test_coefficients_against_sifted_products(spec):
     rng = random.Random(10)
     members = [np.flatnonzero(classes.class_of == c).tolist() for c in range(classes.k)]
     for _ in range(2):
-        choice = {c: rng.choice(ids) for c, ids in enumerate(members)}
-        got = class_multiplication_coefficients(g, classes, z_choice=choice)
-        assert np.array_equal(got, sifted_coefficients(g, classes, choice))
+        # a member other than the smallest wherever the class has one
+        moved = dataclasses.replace(classes, reps=tuple(rng.choice(ids[1:] or ids)
+                                                        for ids in members))
+        assert [z != rep for z, rep in zip(moved.reps, classes.reps)] == [
+            s > 1 for s in classes.sizes]
+        got = class_multiplication_coefficients(g, moved)
+        assert np.array_equal(got, sifted_coefficients(g, moved))
         assert np.array_equal(got, want)
 
 
