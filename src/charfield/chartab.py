@@ -62,19 +62,22 @@ def class_multiplication_coefficients(group: PermGroup, classes: ClassData) -> n
     inverse class of class_of[w] (power_map(classes, -1)), and no inverse
     is looked up.
 
-    The ids of w z for all w are PermGroup.right_map(z), composed from the
-    right-multiplication maps the closure kept along the breadth-first word
-    of z: one |G|-long gather per letter, and no product is sifted.  The
-    representatives are the smallest ids of their classes, so their words
-    are the shortest.
+    The ids of w z come from PermGroup.right_map_blocks, one walk of the
+    subtree of the breadth-first tree that the representatives span, over
+    blocks of SIFT_BLOCK ids w, and no product is sifted.  At each
+    representative the block's pairs (class of x, class of w z) are counted
+    and added into a[:, :, k]: the blocks split G into disjoint sets of w,
+    so the integer sums over them are the counts over G.  No map of all of
+    G is held, only block-sized ones.
     """
     r = classes.k
     a = np.zeros((r, r, r), dtype=np.int64)
     class_of = classes.class_of
-    x_class = np.array(power_map(classes, -1), dtype=np.int64)[class_of] * r
-    for k in range(r):
-        wz = group.right_map(classes.reps[k])
-        a[:, :, k] = np.bincount(x_class + class_of[wz], minlength=r * r).reshape(r, r)
+    x_class = (np.array(power_map(classes, -1), dtype=np.int32) * r).take(class_of)
+    for k, lo, wz in group.right_map_blocks(classes.reps):
+        pair = class_of.take(wz)
+        pair += x_class[lo:lo + len(wz)]
+        a[:, :, k] += np.bincount(pair, minlength=r * r).reshape(r, r)
     return a
 
 
@@ -272,10 +275,10 @@ def abelian_character_table(group: PermGroup,
 
     An abelian group has |G| classes, so past MAX_CLASSES elements it is
     refused as dixon_table refuses it, and every array here is at most
-    64 x 64: T[x][y] = id(x y) from the columns right_map(y), and the powers
-    pw[x][t] = id(x^t), one gather of T per t < e.  The greedy basis element,
-    of maximal order (smallest id on ties) among those whose nontrivial
-    powers avoid the span, generates a direct summand, so
+    64 x 64: T[x][y] = id(x y) from one walk of right_map_blocks, and the
+    powers pw[x][t] = id(x^t), one gather of T per t < e.  The greedy basis
+    element, of maximal order (smallest id on ties) among those whose
+    nontrivial powers avoid the span, generates a direct summand, so
     G = C_{o_1} x ... x C_{o_m}; T[span][:, pw[b, :o]] gives the new span and
     every element's exponent vector a over the basis.  The character c takes
     zeta_e^(sum_i c_i a_i e/o_i), all exponents from one integer product, and
@@ -291,7 +294,9 @@ def abelian_character_table(group: PermGroup,
     if classes is None:
         classes = conjugacy_classes(group)
     e, ids = exponent(classes), np.arange(n)
-    table = np.stack([group.right_map(y) for y in range(n)], axis=1)
+    table = np.empty((n, n), dtype=np.int32)
+    for y, lo, xy in group.right_map_blocks(range(n)):
+        table[lo:lo + len(xy), y] = xy
     orders = np.array(classes.element_orders)[classes.class_of]
     pw = np.zeros((n, e), dtype=np.intp)
     for t in range(1, e):

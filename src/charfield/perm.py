@@ -23,8 +23,10 @@ The search also keeps what it walks: the right-multiplication maps
 right[i][x] = id(x * g_i), |G| * #generators int32, and its tree, the
 parent[z] (int32) and parent_gen[z] (uint8 up to 256 generators) with
 z = parent[z] * g_parent_gen[z].  Together they cost |G| * (4 * #generators
-+ 5) bytes, and they give the id of w * z for every w without a sift;
-see PermGroup.right_map and chartab.class_multiplication_coefficients.
++ 5) bytes, and they give the id of w * z for every w without a sift:
+the maps of many z come from one walk of the subtree of the tree that the
+z span, block by block, one gather per edge and block; see
+PermGroup.right_map_blocks and chartab.class_multiplication_coefficients.
 
 Subgroups use the same maps: the orbits of the right maps of ids T are the
 left cosets of <T>, labelled by their smallest ids (_orbit_labels), and a
@@ -144,7 +146,9 @@ class Permutation:
 # Sifting a row of k base images takes k(k-1)/2 gathers.  In blocks of
 # this many rows their temporaries stay small and in cache; sifting the base
 # images of all 362880 elements of S9 (an 8-point base) in one pass took
-# 0.069 s against 0.044 s in blocks, on a 2-CPU machine.
+# 0.069 s against 0.044 s in blocks, on a 2-CPU machine.  The walk of
+# PermGroup.right_map_blocks composes maps over blocks of this many ids, so
+# that what it holds stays block-sized too.
 SIFT_BLOCK = 1 << 15
 
 
@@ -494,14 +498,50 @@ class PermGroup:
         return self._find(perm) >= 0
 
     def right_map(self, z: int) -> np.ndarray:
-        """The id of x * z for every id x: products compose as functions, so
-        with z = g_{a_1} ... g_{a_m} (word), x z = (...(x g_{a_1}) ...) g_{a_m}
-        and the map is right[a_m][... right[a_1]], one gather per letter."""
-        word = self.word(z)
-        xz = self.right[word[0]] if word else np.arange(self.order)
-        for a in word[1:]:
-            xz = self.right[a][xz]
-        return xz
+        """The id of x * z for every id x, int32, composed along the word of
+        z: the one-id case of right_map_blocks, its blocks laid end to end."""
+        out = np.empty(self.order, dtype=np.int32)
+        for _, lo, xz in self.right_map_blocks([z]):
+            out[lo:lo + len(xz)] = xz
+        return out
+
+    def right_map_blocks(self, zs):
+        """Yield (j, lo, xz) with xz[x - lo] = id(x * zs[j]), int32, for the
+        ids x of each block [lo, lo + SIFT_BLOCK) and each position j of zs,
+        block by block, in one depth-first walk of the subtree of the
+        breadth-first tree that zs spans.
+
+        z = parent[z] * g_a with a = parent_gen[z] gives
+        x z = (x parent[z]) g_a, so id(x z) = right[a][id(x parent[z])] for
+        each id x on its own: on a block, the map of z is one take of
+        right[a] at its parent's map on the same block, and the identity's
+        map is the block's ids.  The ancestors of zs form a subtree rooted
+        at the identity, as parent[z] < z ends each path at id 0.  Each node
+        waits on the stack with its parent's map, so a map is dropped once
+        its last child has been visited: the walk holds the maps of the
+        current path's branch points only, each SIFT_BLOCK ids long.  Each
+        edge of the subtree costs one take per block, so a prefix that
+        several words share is composed once.
+        """
+        zs = [int(z) for z in zs]
+        at: dict[int, list[int]] = {0: []}   # node of the subtree -> positions j
+        children: dict[int, list[int]] = {}
+        for z in zs:
+            while z not in at:
+                at[z] = []
+                children.setdefault(int(self.parent[z]), []).append(z)
+                z = int(self.parent[z])
+        for j, z in enumerate(zs):
+            at[z].append(j)
+        for lo in range(0, self.order, SIFT_BLOCK):
+            stack = [(0, np.arange(lo, min(lo + SIFT_BLOCK, self.order), dtype=np.int32))]
+            while stack:
+                z, xz = stack.pop()
+                if z:
+                    xz = self.right[self.parent_gen[z]].take(xz)
+                for j in at[z]:
+                    yield j, lo, xz
+                stack.extend((c, xz) for c in children.get(z, ()))
 
 
 def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGroup:

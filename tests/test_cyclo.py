@@ -247,6 +247,29 @@ def test_from_obj_refuses_malformed_exponents(obj, fault):
         Cyclo.from_obj(obj)
 
 
+@pytest.mark.parametrize("obj,fault", [
+    ([3, [[0, 1, 1]]], "not a dict"),
+    ({"n": 3}, "not a dict with keys"),
+    ({"c": []}, "not a dict with keys"),
+    ({"n": "3", "c": [[0, 1, 1]]}, "conductor '3'"),
+    ({"n": True, "c": [[0, 1, 1]]}, "conductor True"),
+    ({"n": 3.0, "c": [[0, 1, 1]]}, "conductor 3.0"),
+    ({"n": -3, "c": [[0, 1, 1]]}, "conductor -3"),
+    ({"n": 0, "c": []}, "conductor 0"),
+    ({"n": 3, "c": {"0": [1, 1]}}, "not a list"),
+    ({"n": 3, "c": [[0, 1, 1, 1]]}, r"term \[0, 1, 1, 1\] is not"),
+    ({"n": 3, "c": [[0, 1]]}, "is not"),
+    ({"n": 3, "c": [7]}, "term 7 is not"),
+    ({"n": 3, "c": [[0, 1.5, 1]]}, "not an int"),
+    ({"n": 3, "c": [[0, 1, 2.0]]}, "not an int"),
+    ({"n": 3, "c": [[0, "1", 1]]}, "not an int"),
+    ({"n": 3, "c": [[0, True, 1]]}, "not an int"),
+])
+def test_from_obj_refuses_malformed_input(obj, fault):
+    with pytest.raises(ValueError, match=fault):
+        Cyclo.from_obj(obj)
+
+
 def test_equal_conductor_sums_against_the_constructor():
     # oracle: Cyclo(n, coeffs) reduces the summed coordinates and walks the
     # conductor down from scratch; b = -a cancels, and b = r - a for r in a

@@ -21,8 +21,10 @@ from charfield.perm import (
     quotient_group,
     schreier_sims,
 )
+from charfield.verify import EXCLUSIONS, THEOREM_A_F2, THEOREM_A_F3
 from charfield.zoo import build, sl2
 from test_base_keys import all_rows, inverse_ids, two_level_group
+from test_pipeline_random import random_groups
 
 
 def cycle(degree, *cycles):
@@ -582,6 +584,63 @@ def test_coefficients_sift_no_product(monkeypatch):
 
     monkeypatch.setattr(perm.PermGroup, "ids_of_base_images", refused)
     assert np.array_equal(class_multiplication_coefficients(g, classes), want)
+
+
+def composed_right_map(g, z):
+    """right_map(z) composed word by word, one |G|-long gather per letter."""
+    xz = np.arange(g.order, dtype=np.int32)
+    for a in g.word(z):
+        xz = g.right[a][xz]
+    return xz
+
+
+def blocks_laid_out(g, zs, block):
+    """right_map_blocks(zs) laid end to end, one row per position of zs,
+    checking that each (position, block) comes exactly once, int32."""
+    out = np.full((len(zs), g.order), -1, dtype=np.int64)
+    seen = []
+    for j, lo, xz in g.right_map_blocks(zs):
+        assert xz.dtype == np.int32 and len(xz) == min(block, g.order - lo)
+        out[j, lo:lo + len(xz)] = xz
+        seen.append((j, lo))
+    assert sorted(seen) == [(j, lo) for j in range(len(zs)) for lo in range(0, g.order, block)]
+    return out
+
+
+@pytest.mark.parametrize("spec", MAP_GROUPS)
+def test_right_map_blocks_against_words_in_ragged_blocks(spec, monkeypatch):
+    g = map_group(spec)
+    # the deepest id and its ancestors: each word a prefix of the next
+    chain = [g.order - 1]
+    while chain[-1]:
+        chain.append(int(g.parent[chain[-1]]))
+    rng = random.Random(12)
+    zs = [0, *chain, chain[0], 0, *rng.sample(range(g.order), min(g.order, 8))]
+    want = [composed_right_map(g, z) for z in zs]
+    monkeypatch.setattr(perm, "SIFT_BLOCK", 7)  # the last block is ragged unless 7 | |G|
+    assert np.array_equal(blocks_laid_out(g, zs, 7), want)
+    for z, xz in zip(zs[:3], want):
+        got = g.right_map(z)
+        assert got.dtype == np.int32 and np.array_equal(got, xz)
+
+
+def test_right_map_blocks_of_the_trivial_group(monkeypatch):
+    g = enumerate_group(3, [])
+    monkeypatch.setattr(perm, "SIFT_BLOCK", 7)
+    assert blocks_laid_out(g, [0, 0], 7).tolist() == [[0], [0]]
+    assert g.right_map(0).dtype == np.int32 and g.right_map(0).tolist() == [0]
+    assert list(g.right_map_blocks([])) == []
+
+
+def test_coefficients_in_ragged_blocks_against_sifted_products(monkeypatch):
+    corpus = sorted({c.spec for c in THEOREM_A_F2 + THEOREM_A_F3 + EXCLUSIONS})
+    groups = [(g, conjugacy_classes(g)) for g in map(build, corpus)]
+    for degree, seed in ((6, 101), (7, 202)):
+        groups += random_groups(seed, 4, degree)
+    want = [sifted_coefficients(g, classes) for g, classes in groups]
+    monkeypatch.setattr(perm, "SIFT_BLOCK", 7)
+    for (g, classes), a in zip(groups, want):
+        assert np.array_equal(class_multiplication_coefficients(g, classes), a), g
 
 
 def test_many_generators_widen_the_parent_tree():
