@@ -77,18 +77,6 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)*; a must be coprime to n."""
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    x = a % n
-    k = 1
-    while x != 1 % n:
-        x = x * a % n
-        k += 1
-    return k
-
-
 def prime_exponent_sum(n: int) -> int:
     """Sum of the exponents in the prime factorization of n."""
     return sum(factorize(n).values())

@@ -459,10 +459,32 @@ def degree_over_Q(c: Cyclo) -> int:
 
 
 def omega_degree(r: int) -> int:
-    """Degree over Q of zeta_r + zeta_r^(-1)."""
+    """Degree over Q of w = zeta_r + zeta_r^(-1): phi(r)/|S| for S the units
+    k mod r whose sigma_k fixes w.
+
+    S is read off the images theta^k + theta^(-k) of sigma_k(w) under
+    zeta_r -> theta, theta of order r mod p (_eval_point), in one array
+    pass: the powers theta^t, t < r, by doubling, and the units by one
+    np.gcd.  No Cyclo value is built.  The images of k and 1 agree exactly
+    when k = +-1 (mod r): in a field x + 1/x = y + 1/y means
+    (x - y)(1 - 1/(xy)) = 0, that is y in {x, 1/x}, and theta^k in
+    {theta, theta^(-1)} means k = +-1 (mod r), theta having order r.  The
+    same argument over C, zeta_r having order r, shows that sigma_k fixes w
+    exactly when k = +-1 (mod r), so S is exact.
+    """
     if r < 3:
         raise ValueError("needs r >= 3")
-    return degree_over_Q(root_of_unity(r, 1) + root_of_unity(r, r - 1))
+    p, theta = _eval_point(r)
+    # products of two residues stay below p^2, inside int64 while p < 2^31
+    powers = np.empty(r, dtype=np.int64 if p < 1 << 31 else object)
+    powers[0], m, t = 1, 1, theta
+    while m < r:  # theta^(m + i) = theta^i * theta^m, t = theta^m
+        powers[m:2 * m] = powers[:min(m, r - m)] * t % p
+        m, t = 2 * m, t * t % p
+    ks = np.arange(1, r)
+    ks = ks[np.gcd(ks, r) == 1]
+    images = (powers[ks] + powers[r - ks]) % p
+    return len(ks) // int(np.count_nonzero(images == images[0]))
 
 
 # -- subfield counting -----------------------------------------------------

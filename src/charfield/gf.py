@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import gcd
 
 from .arith import is_prime
 from .modp import poly_mod, poly_mul
@@ -90,7 +89,7 @@ def _antilogs(p: int, m: int, modulus: tuple[int, ...]) -> list[int]:
 
 
 class FieldSpec:
-    """A concrete model of GF(p^m); obtain instances through field(p, m)."""
+    """A model of GF(p^m), made by field(p, m); g, its log base, generates GF(q)*."""
 
     __slots__ = ("p", "m", "modulus", "order", "_elems", "_power", "_zech", "_neg_log")
 
@@ -133,27 +132,9 @@ class FieldSpec:
     def one(self) -> "FieldElem":
         return self._elems[1]
 
-    @property
-    def gen(self) -> "FieldElem":
-        """The class of x (for m >= 2); the residue of the smallest primitive
-        root for prime fields."""
-        if self.m >= 2:
-            return self._elems[self.p]
-        for a in range(2, self.p):
-            if _order_in_field(self.from_int(a)) == self.p - 1:
-                return self.from_int(a)
-        return self.one  # GF(2)
-
     def elements(self):
         """All elements, in integer-encoding order."""
         return list(self._elems)
-
-
-def _order_in_field(x: "FieldElem") -> int:
-    # g^k has order (q - 1) / gcd(k, q - 1) in the cyclic group of order q - 1
-    if not x:
-        raise ValueError("zero has no multiplicative order")
-    return (x.spec.order - 1) // gcd(x.log, x.spec.order - 1)
 
 
 class FieldElem:

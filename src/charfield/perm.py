@@ -37,7 +37,9 @@ The element cap (default 10**6) keeps accidental monsters out; the largest
 built-in group, S9, has 362880 elements.  TABLE_BYTES_LIMIT does the same
 for wide groups: |G| * (degree + #generators) * 4 bytes, what an element
 table and the maps would take, passes the memory of a small machine well
-inside the element cap.
+inside the element cap.  check_size applies both rules; the zoo's
+families whose order is known in closed form call it before building a
+generator, so a spec past them stops before one point is allocated.
 """
 
 from __future__ import annotations
@@ -60,6 +62,19 @@ TABLE_BYTES_LIMIT = 1 << 28
 
 class GroupTooLargeError(ValueError):
     """A group past the element cap or past TABLE_BYTES_LIMIT."""
+
+
+def check_size(order: int, degree: int, n_generators: int, cap: int = DEFAULT_CAP) -> None:
+    """Refuse a group of `order` elements on `degree` points with n_generators
+    generators if its element table and right-multiplication maps,
+    order * (degree + n_generators) * 4 bytes, pass TABLE_BYTES_LIMIT, or
+    else if order passes cap."""
+    if order * (degree + n_generators) * 4 > TABLE_BYTES_LIMIT:
+        raise GroupTooLargeError(
+            f"group too large: {order} elements on {degree} points exceed the "
+            f"{TABLE_BYTES_LIMIT >> 20} MiB element table limit")
+    if order > cap:
+        raise GroupTooLargeError(f"group too large: closure exceeded the cap of {cap} elements")
 
 
 def _point(x) -> int:
@@ -228,8 +243,8 @@ class StabilizerChain:
 class _Level:
     """One level of a stabilizer chain under construction."""
 
-    def __init__(self, point: int, degree: int, check_size):
-        self.check_size = check_size   # check_size(level, m) before storing point m
+    def __init__(self, point: int, degree: int, check_orbit):
+        self.check_orbit = check_orbit   # check_orbit(level, m) before storing point m
         self.ident = np.arange(degree, dtype=np.int32)
         self.point = point
         self.gens: list[np.ndarray] = []
@@ -244,7 +259,7 @@ class _Level:
     def add(self, s: np.ndarray) -> None:
         """Add a generator and close the orbit under all of them.
 
-        check_size runs before each orbit point and its transversal row are
+        check_orbit runs before each orbit point and its transversal row are
         stored, so a group too large stops before its rows do.
         """
         old = len(self.orbit)
@@ -257,7 +272,7 @@ class _Level:
             for i in range(0 if c >= old else last, last + 1):
                 gamma = int(self.gens[i][beta])
                 if self.position[gamma] < 0:
-                    self.check_size(self, len(self.orbit) + 1)
+                    self.check_orbit(self, len(self.orbit) + 1)
                     self.position[gamma] = len(self.orbit)
                     self.orbit.append(gamma)
                     self.fwd.append(self.gens[i][self.fwd[c]])  # s * u_c
@@ -318,11 +333,11 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
 
     Meanwhile every orbit found so far, even one still being closed, lies
     in the final Delta_i, of length [G^(i) : G^(i+1)], so the product of
-    their lengths bounds |G| from below.  It is checked before each new
-    orbit point is stored, and GroupTooLargeError is raised as soon as it
-    passes cap or |G| * (degree + #generators) * 4 bytes, the size of an
-    element table and its right-multiplication maps, passes
-    TABLE_BYTES_LIMIT; each of the two transversals, at most
+    their lengths bounds |G| from below.  check_size tests it before each
+    new orbit point is stored, so GroupTooLargeError is raised as soon as
+    |G| * (degree + #generators) * 4 bytes, the size of an element table
+    and its right-multiplication maps, passes TABLE_BYTES_LIMIT or the bound
+    passes cap; each of the two transversals, at most
     prod |Delta_i| + k rows, stays within the same limit.  A level stores
     the forward transversal, and inverts a row on first use; at the end the
     inverse transversals of all levels but the last are completed.
@@ -330,17 +345,12 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     generators = list(generators)
     levels: list[_Level] = []
 
-    def check_size(level: _Level, m: int) -> None:
+    def check_orbit(level: _Level, m: int) -> None:
         # the level's orbit is about to hold m points
         order = m * math.prod(len(other.orbit) for other in levels if other is not level)
-        if order > cap:
-            raise GroupTooLargeError(f"group too large: closure exceeded the cap of {cap} elements")
-        if order * (degree + len(generators)) * 4 > TABLE_BYTES_LIMIT:
-            raise GroupTooLargeError(
-                f"group too large: {order} elements on {degree} points exceed the "
-                f"{TABLE_BYTES_LIMIT >> 20} MiB element table limit")
+        check_size(order, degree, len(generators), cap)
 
-    check_size(None, 1)  # the identity's row, which a group with no orbit has too
+    check_orbit(None, 1)  # the identity's row, which a group with no orbit has too
     ident = np.arange(degree, dtype=np.int32)
 
     def insert(h: np.ndarray, lo: int) -> None:
@@ -355,7 +365,7 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
             moved = np.flatnonzero(h != ident)
             if not len(moved):
                 return
-            levels.append(_Level(int(moved[0]), degree, check_size))
+            levels.append(_Level(int(moved[0]), degree, check_orbit))
         for level in levels[lo:j + 1]:
             level.add(h)
         for i in range(j, lo - 1, -1):

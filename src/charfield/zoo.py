@@ -18,9 +18,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime, multiplicative_order
+from .arith import element_of_order, factorize, is_prime, units
 from .gf import field
-from .perm import PermGroup, Permutation, enumerate_group
+from .perm import PermGroup, Permutation, check_size, enumerate_group
 
 
 class SpecSyntaxError(ValueError):
@@ -63,6 +63,7 @@ def _cycle_perm(degree: int, *cycles) -> Permutation:
 def cyclic(n: int):
     if n < 1:
         raise SpecSemanticError("cyclic group needs n >= 1")
+    check_size(n, n, 1)
     return n, [_cycle_perm(n, tuple(range(n)))]
 
 
@@ -73,6 +74,7 @@ def dihedral(n: int):
         raise SpecSemanticError(
             f"D{n}: the subscript is the group order, so n must be even and >= 6")
     m = n // 2
+    check_size(n, m, 2)
     rot = _cycle_perm(m, tuple(range(m)))
     refl = Permutation([(m - i) % m for i in range(m)])
     return m, [rot, refl]
@@ -80,12 +82,15 @@ def dihedral(n: int):
 
 @_enumerated
 def frobenius(p: int, k: int):
-    """C_p : C_k acting on p points as x -> a*x + b, |a| = k in (Z/p)*."""
+    """C_p : C_k acting on p points as x -> a*x + b, a the least of order k in (Z/p)*."""
     if not is_prime(p) or p == 2:
         raise SpecSemanticError(f"Frob({p},{k}): p must be an odd prime")
     if k < 2 or (p - 1) % k:
         raise SpecSemanticError(f"Frob({p},{k}): k must divide p-1 and be >= 2")
-    a = next(a for a in range(2, p) if multiplicative_order(a, p) == k)
+    check_size(p * k, p, 2)
+    # (Z/p)* is cyclic, so its elements of order k are theta^j, gcd(j, k) = 1
+    theta = element_of_order(k, p)
+    a = min(pow(theta, j, p) for j in units(k))
     trans = Permutation([(x + 1) % p for x in range(p)])
     mult = Permutation([a * x % p for x in range(p)])
     return p, [trans, mult]
@@ -222,7 +227,7 @@ def sz(q: int):
                 (zero, zero, one, a),
                 (zero, zero, zero, one))
 
-    kappa = F.gen
+    kappa = F.elem([0, 1])  # the class of x; 7 is prime, so it generates GF(8)*
     m_kappa = ((s(kappa) * kappa * kappa, zero, zero, zero),
                (zero, s(kappa) * kappa, zero, zero),
                (zero, zero, kappa, zero),

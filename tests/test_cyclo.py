@@ -183,6 +183,13 @@ def test_omega_degree_fixtures():
         omega_degree(2)
 
 
+def test_omega_degree_matches_the_exact_stabilizer():
+    # degree_over_Q builds the Cyclo value and confirms each stabilizer
+    # element exactly
+    for r in range(3, 401):
+        assert omega_degree(r) == degree_over_Q(root_of_unity(r, 1) + root_of_unity(r, r - 1)), r
+
+
 def test_omega_degree_matches_totient():
     for r in range(3, 61):
         assert omega_degree(r) * 2 == totient(r), r

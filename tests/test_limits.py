@@ -9,7 +9,10 @@ element table limit (perm.TABLE_BYTES_LIMIT) and at q = 32 for PSL(2,q)
 and SL(2,q) with exit code 3, and the largest groups inside them,
 PSL(2,32) and SL(2,32), must build their tables.  The limit counts the
 right-multiplication maps too, one |G|-long int32 array per generator, so
-a group with many repeated generators stops there as well.  C2048 and
+a group with many repeated generators stops there as well.  A C, D or
+Frob spec past either limit must be refused from its order before a
+generator is built, even where one point list would not fit in memory or
+its length in a C ssize_t.  C2048 and
 C4096 pass both build limits, and the 64-class limit must refuse them with
 exit code 4.  Frob(181,3) and C61, small groups with many classes of
 large element order, must run the whole pipeline, validation included.
@@ -134,6 +137,15 @@ TABLE_DIGESTS = {
     # 8192 elements on 8192 points: the table alone is 256 MiB, and the
     # right-multiplication map takes it past the limit
     ("C8192", 3, "element table limit"),
+    # the order of a C, D or Frob spec is known before its generators are
+    # built, so these stop before one point is allocated
+    ("C70000000", 3, "element table limit"),
+    ("C100000000", 3, "element table limit"),
+    ("C99999999999999999999", 3, "element table limit"),  # past a C ssize_t
+    ("D200000000", 3, "element table limit"),
+    ("D20000000000", 3, "element table limit"),
+    ("Frob(100003,2)", 3, "element table limit"),  # inside the element cap
+    ("Frob(2147483659,2)", 3, "element table limit"),
     # inside both build limits, but past the 64-class limit, which must
     # refuse them before any power map is walked
     ("C2048", 4, "2048 classes exceeds the supported maximum of 64"),

@@ -60,6 +60,25 @@ def test_frobenius():
         frobenius(7, 4)
 
 
+def test_frobenius_multiplier_is_the_least_of_order_k():
+    # every odd prime p < 400 and every k >= 2 dividing p - 1, against a scan
+    # of a = 2, 3, ... that multiplies out each candidate's order
+    def order(a, p):
+        x, n = a, 1
+        while x != 1:
+            x, n = x * a % p, n + 1
+        return n
+
+    pairs = [(p, k) for p in range(3, 400) if all(p % d for d in range(2, p))
+             for k in range(2, p) if (p - 1) % k == 0]
+    assert len(pairs) == 611
+    for p, k in pairs:
+        degree, (trans, mult) = frobenius.generators(p, k)
+        assert degree == p and trans.images == tuple((x + 1) % p for x in range(p))
+        a = next(a for a in range(2, p) if order(a, p) == k)
+        assert mult.images == tuple(a * x % p for x in range(p)), (p, k)
+
+
 def test_frobenius_abelianization():
     for p, k in ((5, 4), (7, 3), (13, 4)):
         g = frobenius(p, k)
