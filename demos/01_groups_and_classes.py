@@ -37,4 +37,4 @@ print(f"\nF20: |G'| = {d.order}, G/G' has order {q.order} "
 # individual elements.
 cd = conjugacy_classes(build("D10"))
 print("\nD10 class squaring:", [cd.power_map(i, 2) for i in range(cd.k)])
-print("D10 class inversion:", [cd.inverse_class(i) for i in range(cd.k)])
+print("D10 class inversion:", [cd.power_map(i, -1) for i in range(cd.k)])

@@ -184,11 +184,6 @@ def _split_eigenspaces(mats: list[np.ndarray], p: int, r: int) -> list[list[int]
     return [s[:, 0].tolist() for s in spaces]
 
 
-def _lift(counts) -> Cyclo:
-    """The value sum_d counts[d] * zeta_o^d, o = len(counts)."""
-    return cyclo_from_root_counts(len(counts), counts)
-
-
 def dixon_table(group: PermGroup, classes: ClassData | None = None,
                 prime: int | None = None) -> CharacterTable:
     """The full exact character table."""
@@ -210,7 +205,7 @@ def dixon_table(group: PermGroup, classes: ClassData | None = None,
     vectors = _split_eigenspaces(mats, p, r)
 
     sizes = classes.sizes
-    inv_class = [classes.inverse_class(i) for i in range(r)]
+    inv_class = power_map(classes, -1)
     size_inv = [pow(s, -1, p) for s in sizes]
     try:
         theta = element_of_order(e, p)
@@ -244,8 +239,8 @@ def dixon_table(group: PermGroup, classes: ClassData | None = None,
         row_counts = tuple(tuple(counts[j][i]) for j in range(r))
         if any(sum(m) != deg for m in row_counts):  # pragma: no cover - certifies the lift
             raise ComputationError("root-of-unity multiplicities do not sum to the degree")
-        values = tuple(lifts[m] if m in lifts else lifts.setdefault(m, _lift(m))
-                       for m in row_counts)
+        values = tuple(lifts[m] if m in lifts else
+                       lifts.setdefault(m, cyclo_from_root_counts(m)) for m in row_counts)
         rows.append((deg, values, row_counts))
 
     table = _sorted_table(group, classes, e, p, rows)
@@ -361,13 +356,14 @@ _FAILURES = (
 
 
 def _certificate_primes(modulus: int, bound: int) -> list[int]:
-    """Primes p ≡ 1 (mod modulus) from modp.PRIME_START on, until their
-    product passes bound; below 2^31, so a product of two residues fits
-    int64."""
-    primes = [modp.PRIME_START]
-    while math.prod(primes[1:]) <= bound:
-        primes.append(next_prime_in_progression(modulus, primes[-1], limit=1 << 31))
-    return primes[1:]
+    """The first primes of modp.eval_points(modulus), until their product
+    passes bound."""
+    primes, product = [], 1
+    points = modp.eval_points(modulus)
+    while product <= bound:
+        primes.append(next(points)[0])
+        product *= primes[-1]
+    return primes
 
 
 def _orthogonality(table: CharacterTable, one_embedding: bool) -> tuple[bool, bool]:
@@ -463,7 +459,8 @@ def validate_table(table: CharacterTable) -> TableValidation:
                    for v, m, o in zip(row, crow, classes.element_orders)}
         integral = (integral and len(counts) == len(values) == len(table.degrees)
                     and all(len(row) == len(crow) == r for row, crow in zip(values, counts))
-                    and all(len(m) == o and min(m) >= 0 and sum(m) == d and _lift(m) == v
+                    and all(len(m) == o and min(m) >= 0 and sum(m) == d
+                            and cyclo_from_root_counts(m) == v
                             for m, v, d, o in entries))
     one_embedding = closure and integral and bool(counts) and len(set(values)) == r
     flags = (degree_sum, *_orthogonality(table, one_embedding), first_col, closure, integral)

@@ -23,7 +23,7 @@ from .chartab import ComputationError, dixon_table
 from .cyclo import count_subfields, omega_degree
 from .fov import bounds_report, f_value
 from .perm import GroupTooLargeError, conjugacy_classes
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .zoo import SpecSemanticError, SpecSyntaxError, build, parse_spec
 
 EXIT_OK = 0
@@ -139,8 +139,7 @@ def main(argv=None) -> int:
         sp.add_argument("--out")
 
     sp = sub.add_parser("verify")
-    sp.add_argument("suite",
-                    choices=("theorem-a", "exclusions", "omega", "subfields", "bounds", "all"))
+    sp.add_argument("suite", choices=(*SUITES, "all"))
     sp.add_argument("--out")
 
     for cmd, (var, *_) in _RANGE_COMMANDS.items():

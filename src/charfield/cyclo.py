@@ -40,13 +40,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 import numpy as np
 
 from . import modp
-from .arith import element_of_order, euler_phi, next_prime_in_progression, prime_factors, units
+from .arith import euler_phi, factorize, prime_factors, units
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,9 +178,6 @@ class Cyclo:
     @property
     def conductor(self) -> int:
         return self.n
-
-    def is_rational(self) -> bool:
-        return self.n == 1
 
     def rational_value(self) -> Fraction:
         if self.n != 1:
@@ -387,12 +385,10 @@ def root_of_unity(n: int, k: int = 1) -> Cyclo:
     return Cyclo(m, tuple(_reduce_mod_phi(m, dense)), 1)
 
 
-def cyclo_from_root_counts(n: int, counts) -> Cyclo:
-    """Sum of counts[d] * zeta_n^d (the lifted form used by character tables)."""
-    dense = [0] * n
-    for d, c in enumerate(counts):
-        dense[d % n] += int(c)
-    return _from_dense(n, dense)
+def cyclo_from_root_counts(counts) -> Cyclo:
+    """Sum of counts[d] * zeta_n^d, n = len(counts): the value of a character
+    table entry from the multiplicities of the n-th roots of unity."""
+    return _from_dense(len(counts), [int(c) for c in counts])
 
 
 def galois(c: Cyclo, k: int) -> Cyclo:
@@ -434,11 +430,9 @@ def conjugate(c: Cyclo) -> Cyclo:
 
 @functools.lru_cache(maxsize=None)
 def _eval_point(n: int) -> tuple[int, int]:
-    # a prime from modp.PRIME_START on keeps modp.evaluate's sums in int64 for
-    # conductors into the thousands (phi(n) * p^2 < 2^63); past that they are
-    # Python ints
-    p = next_prime_in_progression(n, modp.PRIME_START, limit=1 << 62)
-    return p, element_of_order(n, p)
+    # the first pair of modp.eval_points: p < 2^31 keeps every product of two
+    # residues in int64, and modp.evaluate's sums too while phi(n) p^2 < 2^63
+    return next(modp.eval_points(n))
 
 
 def degree_over_Q(c: Cyclo) -> int:
@@ -475,8 +469,8 @@ def omega_degree(r: int) -> int:
     if r < 3:
         raise ValueError("needs r >= 3")
     p, theta = _eval_point(r)
-    # products of two residues stay below p^2, inside int64 while p < 2^31
-    powers = np.empty(r, dtype=np.int64 if p < 1 << 31 else object)
+    # products of two residues stay below p^2 < 2^62, inside int64
+    powers = np.empty(r, dtype=np.int64)
     powers[0], m, t = 1, 1, theta
     while m < r:  # theta^(m + i) = theta^i * theta^m, t = theta^m
         powers[m:2 * m] = powers[:min(m, r - m)] * t % p
@@ -490,27 +484,17 @@ def omega_degree(r: int) -> int:
 # -- subfield counting -----------------------------------------------------
 
 
+@dataclass(frozen=True)
 class SubfieldCount:
     """Number of degree-d subfields of Q_n (d prime)."""
 
-    __slots__ = ("n", "degree", "count")
-
-    def __init__(self, n: int, degree: int, count: int):
-        self.n = n
-        self.degree = degree
-        self.count = count
-
-    def __eq__(self, other):
-        return (self.n, self.degree, self.count) == (other.n, other.degree, other.count)
-
-    def __repr__(self):
-        return f"SubfieldCount(n={self.n}, degree={self.degree}, count={self.count})"
+    n: int
+    degree: int
+    count: int
 
 
 def _unit_group_cyclic_orders(n: int) -> list[int]:
     """Orders of the canonical cyclic factors of (Z/n)*."""
-    from .arith import factorize
-
     out = []
     for p, k in factorize(n).items():
         if p == 2:

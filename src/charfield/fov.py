@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .arith import euler_phi, floor_log2_log2, prime_exponent_sum
-from .chartab import CharacterTable, ComputationError
+from .chartab import CharacterTable, ComputationError, dixon_table
+from .perm import quotient_group
 
 
 @dataclass(frozen=True, order=True)
@@ -91,16 +92,17 @@ def k_ge_log2log2(order: int, k: int) -> bool:
 def _bounds(order: int, k: int, f: int) -> BoundsData:
     # 3^k and 3^f stay small: f <= k <= chartab.MAX_CLASSES
     fll = floor_log2_log2(order) if order >= 2 else 0
+    omega = prime_exponent_sum(order)  # 0 for the trivial group
     return BoundsData(
         order=order,
         floor_log2_log2=fll,
-        omega=prime_exponent_sum(order) if order > 1 else 0,
+        omega=omega,
         k_ge_log2log2=k_ge_log2log2(order, k),
         f_ge_floor_log2log2=f >= fll,
         k_gt_log3=3**k > order,
         f_gt_log3=3**f > order,
-        k_ge_omega=k >= prime_exponent_sum(order) if order > 1 else True,
-        f_ge_omega=f >= prime_exponent_sum(order) if order > 1 else True,
+        k_ge_omega=k >= omega,
+        f_ge_omega=f >= omega,
     )
 
 
@@ -205,9 +207,6 @@ def degree_bound_check(report: FReport) -> CheckResult:
 
 def monotonicity_check(group, normal) -> tuple[bool, int, int]:
     """f(G/N) <= f(G); returns (ok, f(G), f(G/N))."""
-    from .chartab import dixon_table
-    from .perm import quotient_group
-
     f_g = f_value(dixon_table(group)).f
     f_q = f_value(dixon_table(quotient_group(group, normal))).f
     return (f_q <= f_g, f_g, f_q)

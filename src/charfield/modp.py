@@ -1,4 +1,5 @@
-"""Deterministic linear algebra and polynomial root finding over GF(p).
+"""Deterministic linear algebra and polynomial root finding over GF(p), and
+the one walk of evaluation primes (eval_points).
 
 Matrices are int64 numpy arrays with entries in [0, p), and mat_mul is
 their one product.  rref's pivot rule is fixed (the first nonzero entry at
@@ -13,10 +14,25 @@ import math
 
 import numpy as np
 
+from .arith import element_of_order, next_prime_in_progression
+
 # Evaluation primes are searched from here on: while (p - 1)^2 < 2^42,
 # mat_mul keeps a sum of up to 2^21 products in int64, and a prime this
 # large makes an accidental zero of a nonzero value improbable.
 PRIME_START = 1 << 20
+
+
+def eval_points(n: int):
+    """(p, theta) for the primes p = 1 (mod n) from PRIME_START on, in
+    increasing order, theta of order n mod p.
+
+    Every p stays below 2^31, so a product of two residues fits int64; the
+    walk raises ValueError when it would pass that.
+    """
+    p = PRIME_START
+    while True:
+        p = next_prime_in_progression(n, p, limit=1 << 31)
+        yield p, element_of_order(n, p)
 
 
 def mat_mul(A, B, p: int) -> np.ndarray:

@@ -704,9 +704,6 @@ class ClassData:
         """Class of rep_i ** k (well-defined on the class)."""
         return self.powers[i][k % self.element_orders[i]]
 
-    def inverse_class(self, i: int) -> int:
-        return self.power_map(i, -1)
-
 
 def _base_walk(group: PermGroup, xs):
     """Yield (live, images) for t = 0, 1, ...: the positions i in xs with

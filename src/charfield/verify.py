@@ -104,7 +104,6 @@ class CaseResult:
 class SuiteResult:
     suite: str
     results: list[CaseResult]
-    summary: list[str]
 
     @property
     def ok(self) -> bool:
@@ -112,7 +111,6 @@ class SuiteResult:
 
     def lines(self) -> list[str]:
         out = [f"{r.status} {r.case_id}: {r.detail}" for r in self.results]
-        out += self.summary
         passed = sum(r.status == "PASS" for r in self.results)
         warned = sum(r.status == "WARN" for r in self.results)
         failed = sum(r.status == "FAIL" for r in self.results)
@@ -166,11 +164,11 @@ def suite_theorem_a() -> SuiteResult:
                               f"max order over the f=2 list = {b2} (expect {EXPECTED_B2})"))
     results.append(CaseResult("b(3)", "PASS" if b3 == EXPECTED_B3 else "FAIL",
                               f"max order over the f=3 list = {b3} (expect {EXPECTED_B3})"))
-    return SuiteResult("theorem-a", results, [])
+    return SuiteResult("theorem-a", results)
 
 
 def suite_exclusions() -> SuiteResult:
-    return SuiteResult("exclusions", [_check_case(c) for c in EXCLUSIONS], [])
+    return SuiteResult("exclusions", [_check_case(c) for c in EXCLUSIONS])
 
 
 def suite_omega() -> SuiteResult:
@@ -207,7 +205,7 @@ def suite_omega() -> SuiteResult:
     results.append(CaseResult(
         "omega-cubic", "PASS" if cubic == OMEGA_CUBIC else "FAIL",
         f"cubic set {sorted(cubic)} (expect {sorted(OMEGA_CUBIC)})"))
-    return SuiteResult("omega", results, [])
+    return SuiteResult("omega", results)
 
 
 def _explicit_subgroup_counts(d: int) -> np.ndarray:
@@ -255,7 +253,7 @@ def suite_subfields() -> SuiteResult:
         results.append(CaseResult(
             f"subfields-n{n}-d{d}", "PASS" if got == want else "FAIL",
             f"Q_{n} contains {got} {what} extension(s) (expect {want})"))
-    return SuiteResult("subfields", results, [])
+    return SuiteResult("subfields", results)
 
 
 def suite_bounds() -> SuiteResult:
@@ -280,10 +278,10 @@ def suite_bounds() -> SuiteResult:
     ]
     for cid, ok, text in checks:
         results.append(CaseResult(cid, "PASS" if ok else "FAIL", text))
-    return SuiteResult("bounds", results, [])
+    return SuiteResult("bounds", results)
 
 
-_SUITES = {
+SUITES = {
     "theorem-a": suite_theorem_a,
     "exclusions": suite_exclusions,
     "omega": suite_omega,
@@ -294,8 +292,8 @@ _SUITES = {
 
 def run_suite(name: str) -> list[SuiteResult]:
     if name == "all":
-        return [fn() for fn in _SUITES.values()]
-    if name not in _SUITES:
+        return [fn() for fn in SUITES.values()]
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{', '.join([*_SUITES, 'all'])}")
-    return [_SUITES[name]()]
+                         f"{', '.join([*SUITES, 'all'])}")
+    return [SUITES[name]()]

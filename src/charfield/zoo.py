@@ -37,18 +37,9 @@ class SpecSemanticError(ValueError):
 
 # -- constructors -----------------------------------------------------------
 #
-# Each family is written as a function returning (degree, generators); the
-# builder enumerates them and keeps the function as builder.generators, so
-# a direct product is built from its factors' generators alone.
-
-
-def _enumerated(generators_of):
-    @functools.wraps(generators_of)
-    def builder(*args) -> PermGroup:
-        return enumerate_group(*generators_of(*args))
-
-    builder.generators = generators_of
-    return builder
+# Each family returns (degree, generators), and build is the one way from a
+# spec to a group: it enumerates them, so a direct product is built from its
+# factors' generators alone.
 
 
 def _cycle_perm(degree: int, *cycles) -> Permutation:
@@ -59,7 +50,6 @@ def _cycle_perm(degree: int, *cycles) -> Permutation:
     return Permutation(images)
 
 
-@_enumerated
 def cyclic(n: int):
     if n < 1:
         raise SpecSemanticError("cyclic group needs n >= 1")
@@ -67,12 +57,9 @@ def cyclic(n: int):
     return n, [_cycle_perm(n, tuple(range(n)))]
 
 
-@_enumerated
 def dihedral(n: int):
-    """Dihedral group of order n (order convention), n even, n >= 6."""
-    if n % 2 or n < 6:
-        raise SpecSemanticError(
-            f"D{n}: the subscript is the group order, so n must be even and >= 6")
+    """Dihedral group of order n (order convention); _atom_spec has checked
+    that n is even and >= 6."""
     m = n // 2
     check_size(n, m, 2)
     rot = _cycle_perm(m, tuple(range(m)))
@@ -80,7 +67,6 @@ def dihedral(n: int):
     return m, [rot, refl]
 
 
-@_enumerated
 def frobenius(p: int, k: int):
     """C_p : C_k acting on p points as x -> a*x + b, a the least of order k in (Z/p)*."""
     if not is_prime(p) or p == 2:
@@ -96,7 +82,6 @@ def frobenius(p: int, k: int):
     return p, [trans, mult]
 
 
-@_enumerated
 def symmetric(n: int):
     if not 2 <= n <= 9:
         raise SpecSemanticError("S n is supported for 2 <= n <= 9")
@@ -106,7 +91,6 @@ def symmetric(n: int):
     return n, gens
 
 
-@_enumerated
 def alternating(n: int):
     if not 2 <= n <= 9:
         raise SpecSemanticError("A n is supported for 2 <= n <= 9")
@@ -157,7 +141,6 @@ def _point_action(mats, points, image):
     return len(points), [Permutation([index[image(mat, pt)] for pt in points]) for mat in mats]
 
 
-@_enumerated
 def psl2(q: int):
     """Image of SL(2,q) acting on the projective line (q + 1 points)."""
     if not 4 <= q <= 32:
@@ -174,7 +157,6 @@ def psl2(q: int):
     return _point_action(_sl2_generators(F), _proj_line_points(F), image)
 
 
-@_enumerated
 def sl2(q: int):
     """SL(2,q) acting faithfully on the q^2 - 1 nonzero vectors."""
     if not 4 <= q <= 32:
@@ -203,7 +185,6 @@ def sl2(q: int):
 # which must have exactly q^2 + 1 points.
 
 
-@_enumerated
 def sz(q: int):
     if q != 8:
         # q = 2^(2t+1), t >= 1; only q = 8 is inside the element cap
@@ -367,11 +348,10 @@ def _atom_spec(name: str, args: tuple[int, ...]) -> GroupSpec:
     if name == "PSL" or name == "SL":
         if args[0] != 2:
             raise SpecSemanticError(f"only {name}(2,q) is supported")
-        return GroupSpec(name, args)
     return GroupSpec(name, args)
 
 
-_BUILDERS = {
+_FAMILIES = {
     "C": cyclic,
     "D": dihedral,
     "A": alternating,
@@ -387,8 +367,8 @@ def _generators(spec: GroupSpec):
     if spec.kind == "Product":
         return _product_generators([_generators(f) for f in spec.factors])
     if spec.kind in ("PSL", "SL"):
-        return _BUILDERS[spec.kind].generators(spec.args[1])
-    return _BUILDERS[spec.kind].generators(*spec.args)
+        return _FAMILIES[spec.kind](spec.args[1])
+    return _FAMILIES[spec.kind](*spec.args)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,13 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from charfield import chartab, cyclo, modp
 from charfield.cyclo import (
     Cyclo,
+    SubfieldCount,
     conjugate,
     count_subfields,
+    cyclo_from_root_counts,
     cyclotomic_polynomial,
     degree_over_Q,
     galois,
@@ -203,6 +207,14 @@ def test_count_subfields_fixtures():
     assert count_subfields(7, 3).count == 1
     with pytest.raises(ValueError):
         count_subfields(10, 5)
+
+
+def test_subfield_counts_compare_and_hash_as_values():
+    c = count_subfields(7, 2)
+    assert c == SubfieldCount(7, 2, 1) and c != SubfieldCount(7, 3, 1)
+    assert c != 1 and c != (7, 2, 1)
+    assert {c, count_subfields(7, 2)} == {c}
+    assert repr(c) == "SubfieldCount(n=7, degree=2, count=1)"
 
 
 def brute_subgroup_count(n, d):
@@ -549,3 +561,42 @@ def test_descent_matches_the_per_coefficient_oracle(n):
         conductors.add(got.n)
     # the vectors reach several intermediate conductors, not only n and 1
     assert len(conductors - {1, n}) >= 3
+
+
+def test_lift_from_root_counts_matches_the_sum_of_closed_form_roots():
+    # the table lift reduces one dense vector mod Phi_o and descends; the
+    # oracle adds closed-form roots (root_of_unity) one at a time with
+    # Cyclo.__add__, which re-embeds and canonicalises every partial sum
+    rng = random.Random(24)
+    for o in range(1, 25):
+        for _ in range(6):
+            counts = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(o))
+            total = Cyclo.from_rational(0)
+            for d, m in enumerate(counts):
+                for _ in range(m):
+                    total = total + root_of_unity(o, d)
+            assert cyclo_from_root_counts(counts) == total, (o, counts)
+
+
+def test_first_evaluation_prime_of_every_conductor_in_the_range_cap():
+    # the CLI caps ranges at 10^4; every first prime of the walk lies in
+    # (2^20, 2^21), so products of two residues stay far inside int64
+    top = 10**4
+    prime_divisors = [[] for _ in range(top + 1)]  # a sieve, not arith's factorize
+    for q in range(2, top + 1):
+        if not prime_divisors[q]:
+            for m in range(q, top + 1, q):
+                prime_divisors[m].append(q)
+    for n in range(1, top + 1):
+        p, theta = next(modp.eval_points(n))
+        assert (p - 1) % n == 0 and 1 << 20 < p < 1 << 21, n
+        assert pow(theta, n, p) == 1, n
+        assert all(pow(theta, n // q, p) != 1 for q in prime_divisors[n]), n
+
+
+@pytest.mark.parametrize("E", [1, 5, 60, 1820, 2520, 7440])
+def test_certificate_primes_and_degree_evaluation_share_the_walk(E):
+    primes = chartab._certificate_primes(E, 1 << 100)
+    assert primes[0] == cyclo._eval_point(E)[0]
+    assert primes == [p for p, _ in itertools.islice(modp.eval_points(E), len(primes))]
+    assert primes == sorted(set(primes)) and len(primes) >= 5

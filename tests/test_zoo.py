@@ -17,47 +17,43 @@ from charfield.zoo import (
     GroupSpec,
     SpecSemanticError,
     SpecSyntaxError,
-    alternating,
     build,
-    cyclic,
-    dihedral,
     frobenius,
     parse_spec,
     psl2,
     sl2,
-    symmetric,
     sz,
 )
 
 
 def test_cyclic():
-    assert cyclic(1).order == 1
-    g = cyclic(4)
+    assert build("C1").order == 1
+    g = build("C4")
     assert g.order == 4 and conjugacy_classes(g).k == 4
-    assert cyclic(6).order == 6
+    assert build("C6").order == 6
     with pytest.raises(SpecSemanticError):
-        cyclic(0)
+        build("C0")
 
 
 def test_dihedral():
-    assert dihedral(10).order == 10
-    d18 = dihedral(18)
+    assert build("D10").order == 10
+    d18 = build("D18")
     assert d18.order == 18
     assert derived_subgroup(d18).order == 9
-    d6 = dihedral(6)
+    d6 = build("D6")
     assert d6.order == 6 and conjugacy_classes(d6).k == 3
     with pytest.raises(SpecSemanticError):
-        dihedral(9)
+        build("D9")
 
 
 def test_frobenius():
-    assert frobenius(7, 3).order == 21
-    f20 = frobenius(5, 4)
+    assert build("Frob(7,3)").order == 21
+    f20 = build("Frob(5,4)")
     assert f20.order == 20
     assert derived_subgroup(f20).order == 5
-    assert frobenius(13, 4).order == 52
+    assert build("Frob(13,4)").order == 52
     with pytest.raises(SpecSemanticError):
-        frobenius(7, 4)
+        build("Frob(7,4)")
 
 
 def test_frobenius_multiplier_is_the_least_of_order_k():
@@ -73,7 +69,7 @@ def test_frobenius_multiplier_is_the_least_of_order_k():
              for k in range(2, p) if (p - 1) % k == 0]
     assert len(pairs) == 611
     for p, k in pairs:
-        degree, (trans, mult) = frobenius.generators(p, k)
+        degree, (trans, mult) = frobenius(p, k)
         assert degree == p and trans.images == tuple((x + 1) % p for x in range(p))
         a = next(a for a in range(2, p) if order(a, p) == k)
         assert mult.images == tuple(a * x % p for x in range(p)), (p, k)
@@ -81,7 +77,7 @@ def test_frobenius_multiplier_is_the_least_of_order_k():
 
 def test_frobenius_abelianization():
     for p, k in ((5, 4), (7, 3), (13, 4)):
-        g = frobenius(p, k)
+        g = build(f"Frob({p},{k})")
         d = derived_subgroup(g)
         assert d.order == p
         q = quotient_group(g, d)
@@ -90,47 +86,47 @@ def test_frobenius_abelianization():
 
 
 def test_alternating_symmetric():
-    assert alternating(4).order == 12
-    assert alternating(5).order == 60
-    assert symmetric(4).order == 24
-    assert alternating(2).order == 1
-    assert symmetric(2).order == 2
+    assert build("A4").order == 12
+    assert build("A5").order == 60
+    assert build("S4").order == 24
+    assert build("A2").order == 1
+    assert build("S2").order == 2
     with pytest.raises(SpecSemanticError):
-        alternating(10)
+        build("A10")
 
 
 def test_psl2_orders():
     for q, order in ((4, 60), (5, 60), (7, 168), (8, 504), (9, 360)):
-        assert psl2(q).order == order, q
+        assert build(f"PSL(2,{q})").order == order, q
     with pytest.raises(SpecSemanticError):
-        psl2(6)
+        build("PSL(2,6)")
     with pytest.raises(SpecSemanticError):
-        psl2(3)
+        build("PSL(2,3)")
 
 
 def test_sl2_orders():
-    assert sl2(4).order == 60
-    assert sl2(5).order == 120
+    assert build("SL(2,4)").order == 60
+    assert build("SL(2,5)").order == 120
 
 
 def test_psl2_4_looks_like_a5():
-    a = conjugacy_classes(psl2(4))
-    b = conjugacy_classes(alternating(5))
+    a = conjugacy_classes(build("PSL(2,4)"))
+    b = conjugacy_classes(build("A5"))
     assert sorted(a.sizes) == sorted(b.sizes)
     assert sorted(a.element_orders) == sorted(b.element_orders)
 
 
 def test_suzuki_group():
-    g = sz(8)
+    g = build("Sz(8)")
     assert g.degree == 65
     assert g.order == 29120
     assert element_order_spectrum(g) == (2, 4, 5, 7, 13)
     cd = conjugacy_classes(g)
     assert cd.k == 11
     with pytest.raises(SpecSemanticError):
-        sz(4)
+        build("Sz(4)")
     with pytest.raises(SpecSemanticError):
-        sz(32)
+        build("Sz(32)")
 
 
 def test_product():
@@ -263,7 +259,7 @@ def test_matrix_group_generators_match_their_recorded_digests():
     got = {}
     for q in range(4, 33):
         if len(factorize(q)) == 1:
-            got[f"PSL(2,{q})"] = _generator_digest(*psl2.generators(q))
-            got[f"SL(2,{q})"] = _generator_digest(*sl2.generators(q))
-    got["Sz(8)"] = _generator_digest(*sz.generators(8))
+            got[f"PSL(2,{q})"] = _generator_digest(*psl2(q))
+            got[f"SL(2,{q})"] = _generator_digest(*sl2(q))
+    got["Sz(8)"] = _generator_digest(*sz(8))
     assert got == GENERATOR_DIGESTS
