@@ -228,8 +228,8 @@ def dixon_table(group: PermGroup, classes: ClassData | None = None,
     # per class j of order o, the lift of every row at once: the inverse DFT
     # m_d = (1/o) sum_t chi(g^t) theta_o^(-dt) of the values along the powers
     chi_p = np.array(chi, dtype=np.int64)
-    counts = [modp.evaluate(chi_p[:, list(classes.powers[j])], pow(theta, e - e // o, p), o,
-                            range(o), p, scale=pow(o, -1, p)).tolist()
+    counts = [(modp.evaluate(chi_p[:, list(classes.powers[j])], pow(theta, e - e // o, p), o,
+                             range(o), p) * pow(o, -1, p) % p).tolist()
               for j, o in enumerate(classes.element_orders)]
     # entries repeat their count vectors (SL(2,25): 841 entries, 127 vectors),
     # so each distinct vector is lifted once

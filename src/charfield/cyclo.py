@@ -223,10 +223,6 @@ class Cyclo:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if self.n == 1:
-            return other._scale(self.coeffs[0], self.den)
-        if other.n == 1:
-            return self._scale(other.coeffs[0], other.den)
         big = lcm(self.n, other.n)
         sa, sb = big // self.n, big // other.n
         dense = [0] * big
@@ -240,14 +236,6 @@ class Cyclo:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def _scale(self, a: int, b: int) -> "Cyclo":
-        if a == 0:
-            return Cyclo(1, (0,), 1)
-        # the conductor stays; a/b and coeffs/den are in lowest terms, so as
-        # for fractions the product reduces by gcd(a, den) * gcd(b, content)
-        g, h = gcd(a, self.den), gcd(b, *self.coeffs)
-        return Cyclo(self.n, tuple(a // g * c // h for c in self.coeffs), b // h * self.den // g)
 
     # -- comparison / hashing ----------------------------------------
 
@@ -428,20 +416,13 @@ def conjugate(c: Cyclo) -> Cyclo:
 # then only the few candidates are confirmed exactly.
 
 
-@functools.lru_cache(maxsize=None)
-def _eval_point(n: int) -> tuple[int, int]:
-    # the first pair of modp.eval_points: p < 2^31 keeps every product of two
-    # residues in int64, and modp.evaluate's sums too while phi(n) p^2 < 2^63
-    return next(modp.eval_points(n))
-
-
 def degree_over_Q(c: Cyclo) -> int:
     """Exact degree [Q(c) : Q]."""
     n = c.n
     if n == 1:
         return 1
     # a rational scale does not change the stabilizer, so den plays no part
-    p, theta = _eval_point(n)
+    p, theta = next(modp.eval_points(n))
     ks = np.array(units(n))
     coeffs = np.array([[x % p for x in c.coeffs]], dtype=np.int64)
     imgs = modp.evaluate(coeffs, theta, n, ks, p)[0]
@@ -457,10 +438,10 @@ def omega_degree(r: int) -> int:
     k mod r whose sigma_k fixes w.
 
     S is read off the images theta^k + theta^(-k) of sigma_k(w) under
-    zeta_r -> theta, theta of order r mod p (_eval_point), in one array
-    pass: the powers theta^t, t < r, by doubling, and the units by one
-    np.gcd.  No Cyclo value is built.  The images of k and 1 agree exactly
-    when k = +-1 (mod r): in a field x + 1/x = y + 1/y means
+    zeta_r -> theta, theta of order r mod p (the first of modp.eval_points),
+    in one array pass: the powers theta^t, t < r (modp.powers), and the
+    units by one np.gcd.  No Cyclo value is built.  The images of k and 1
+    agree exactly when k = +-1 (mod r): in a field x + 1/x = y + 1/y means
     (x - y)(1 - 1/(xy)) = 0, that is y in {x, 1/x}, and theta^k in
     {theta, theta^(-1)} means k = +-1 (mod r), theta having order r.  The
     same argument over C, zeta_r having order r, shows that sigma_k fixes w
@@ -468,13 +449,8 @@ def omega_degree(r: int) -> int:
     """
     if r < 3:
         raise ValueError("needs r >= 3")
-    p, theta = _eval_point(r)
-    # products of two residues stay below p^2 < 2^62, inside int64
-    powers = np.empty(r, dtype=np.int64)
-    powers[0], m, t = 1, 1, theta
-    while m < r:  # theta^(m + i) = theta^i * theta^m, t = theta^m
-        powers[m:2 * m] = powers[:min(m, r - m)] * t % p
-        m, t = 2 * m, t * t % p
+    p, theta = next(modp.eval_points(r))
+    powers = modp.powers(theta, r, p)
     ks = np.arange(1, r)
     ks = ks[np.gcd(ks, r) == 1]
     images = (powers[ks] + powers[r - ks]) % p

@@ -10,8 +10,6 @@ lists, lowest degree first, normalized monic where stated.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .arith import element_of_order, next_prime_in_progression
@@ -47,43 +45,44 @@ def mat_mul(A, B, p: int) -> np.ndarray:
     return (A.astype(object) @ B.astype(object) % p).astype(np.int64)
 
 
-def evaluate(coeffs: np.ndarray, theta: int, order: int, ks, p: int,
-             scale: int = 1) -> np.ndarray:
-    """out[i, a] = scale * sum_d coeffs[i, d] * theta^(d * ks[a]) mod p.
+def powers(theta: int, n: int, p: int) -> np.ndarray:
+    """theta^t mod p for t < n (n >= 1), int64, by doubling: with the
+    powers below m known, theta^(m + i) = theta^i * theta^m gives those
+    below 2m in one product.  Exact for p < 2^31, as each product of two
+    residues is below p^2 < 2^62."""
+    out = np.empty(n, dtype=np.int64)
+    out[0], m, t = 1, 1, theta % p
+    while m < n:
+        out[m:2 * m] = out[:min(m, n - m)] * t % p
+        m, t = 2 * m, t * t % p
+    return out
+
+
+def evaluate(coeffs: np.ndarray, theta: int, order: int, ks, p: int) -> np.ndarray:
+    """out[i, a] = sum_d coeffs[i, d] * theta^(d * ks[a]) mod p.
 
     coeffs is a (rows x L) int64 array reduced mod p, L <= order, and theta
     has order `order` mod p.  Column a is then the image of the row's
     sum_d coeffs[d] * zeta^d, zeta a primitive order-th root of unity, under
     the ring map Z[zeta] -> GF(p), zeta -> theta^ks[a]; for a unit ks[a]
-    that is the embedding through sigma_ks[a].  With theta^-1, ks = 0..o-1
-    and scale = 1/o it is the inverse discrete Fourier transform, which
-    turns the values chi(g^t), t < o, into the multiplicities of the o-th
-    roots of unity in chi(g).  Columns are taken in blocks so that the
-    L x |ks| power matrix stays small.
+    that is the embedding through sigma_ks[a].  With theta^-1 and
+    ks = 0..o-1, times 1/o, it is the inverse discrete Fourier transform,
+    which turns the values chi(g^t), t < o, into the multiplicities of the
+    o-th roots of unity in chi(g).
 
-    The power matrix is powers[e] with e = d * ks[a] mod order.  Writing
-    d = q*b + s with b = ceil(sqrt(L)) and s < b, e is congruent to
-    high[q, a] + low[s, a], the residues of q*b*ks[a] and s*ks[a], and that
-    sum lies in [0, 2*order).  theta has order `order`, so the powers repeat
-    with that period: a table of 2*order powers is indexed by the sum
-    directly, and only the two b x |ks| tables are reduced mod order, not
-    every entry of the L x |ks| one.
+    theta has order `order`, so theta^e depends on e mod order only, and
+    the L x |ks| power matrix is the table powers(theta, order, p) at
+    d * ks[a] mod order.  Columns are taken in blocks so that the power
+    matrix stays small.
     """
-    x, powers = scale % p, []
-    for _ in range(order):
-        powers.append(x)
-        x = x * theta % p
-    powers = np.array(powers * 2, dtype=np.int64)
+    table = powers(theta, order, p)
     ks = np.asarray(ks, dtype=np.int64) % order
-    rows = coeffs.shape[1]
-    b = math.isqrt(max(rows - 1, 0)) + 1
-    low = np.multiply.outer(np.arange(b), ks) % order
-    high = np.multiply.outer(np.arange(0, rows, b), ks) % order
-    step = max(1, (1 << 22) // max(1, rows))
+    d = np.arange(coeffs.shape[1], dtype=np.int64)
+    step = max(1, (1 << 22) // max(1, len(d)))
     out = np.empty((coeffs.shape[0], len(ks)), dtype=np.int64)
     for a in range(0, len(ks), step):
-        e = high[:, None, a:a + step] + low[:, a:a + step]
-        out[:, a:a + step] = mat_mul(coeffs, powers[e.reshape(-1, e.shape[2])[:rows]], p)
+        e = np.multiply.outer(d, ks[a:a + step]) % order
+        out[:, a:a + step] = mat_mul(coeffs, table[e], p)
     return out
 
 

@@ -33,11 +33,11 @@ left cosets of <T>, labelled by their smallest ids (_orbit_labels), and a
 Subgroup's generator_ids is a generating list of at most log2 |H| ids
 (_generated).
 
-The element cap (default 10**6) keeps accidental monsters out; the largest
-built-in group, S9, has 362880 elements.  TABLE_BYTES_LIMIT does the same
-for wide groups: |G| * (degree + #generators) * 4 bytes, what an element
-table and the maps would take, passes the memory of a small machine well
-inside the element cap.  check_size applies both rules; the zoo's
+The element cap, DEFAULT_CAP = 10**6, keeps accidental monsters out; the
+largest built-in group, S9, has 362880 elements.  TABLE_BYTES_LIMIT does
+the same for wide groups: |G| * (degree + #generators) * 4 bytes, what an
+element table and the maps would take, passes the memory of a small
+machine well inside the element cap.  check_size applies both rules; the zoo's
 families whose order is known in closed form call it before building a
 generator, so a spec past them stops before one point is allocated.
 """
@@ -64,17 +64,18 @@ class GroupTooLargeError(ValueError):
     """A group past the element cap or past TABLE_BYTES_LIMIT."""
 
 
-def check_size(order: int, degree: int, n_generators: int, cap: int = DEFAULT_CAP) -> None:
+def check_size(order: int, degree: int, n_generators: int) -> None:
     """Refuse a group of `order` elements on `degree` points with n_generators
     generators if its element table and right-multiplication maps,
     order * (degree + n_generators) * 4 bytes, pass TABLE_BYTES_LIMIT, or
-    else if order passes cap."""
+    else if order passes DEFAULT_CAP."""
     if order * (degree + n_generators) * 4 > TABLE_BYTES_LIMIT:
         raise GroupTooLargeError(
             f"group too large: {order} elements on {degree} points exceed the "
             f"{TABLE_BYTES_LIMIT >> 20} MiB element table limit")
-    if order > cap:
-        raise GroupTooLargeError(f"group too large: closure exceeded the cap of {cap} elements")
+    if order > DEFAULT_CAP:
+        raise GroupTooLargeError(
+            f"group too large: closure exceeded the cap of {DEFAULT_CAP} elements")
 
 
 def _point(x) -> int:
@@ -158,12 +159,9 @@ class Permutation:
         return f"Permutation({body})"
 
 
-# Sifting a row of k base images takes k(k-1)/2 gathers.  In blocks of
-# this many rows their temporaries stay small and in cache; sifting the base
-# images of all 362880 elements of S9 (an 8-point base) in one pass took
-# 0.069 s against 0.044 s in blocks, on a 2-CPU machine.  The walk of
 # PermGroup.right_map_blocks composes maps over blocks of this many ids, so
-# that what it holds stays block-sized too.
+# that the maps it holds at once, one per branch point of its walk, stay
+# block-sized however large the group.
 SIFT_BLOCK = 1 << 15
 
 
@@ -220,24 +218,21 @@ class StabilizerChain:
         if images.size and images.view(np.uint32).max() >= degree:
             raise ArithmeticError("a base image is not a point")
         flat = [inv.ravel() for inv in self.inv_transversals]
-        out = np.empty(len(images), dtype=np.int64)
-        for lo in range(0, len(images), SIFT_BLOCK):
-            block, key = images[lo:lo + SIFT_BLOCK], out[lo:lo + SIFT_BLOCK]
-            key[:] = 0
-            offsets = []  # c_i * degree per level above
-            for j, (orbit, position) in enumerate(zip(self.orbits, self.positions)):
-                point = block[:, j]
-                # c * degree + point < |Delta_i| * degree <= |G| * degree <= 2**26
-                # (TABLE_BYTES_LIMIT / 4), so the flat index fits int32
-                for offset, inv in zip(offsets, flat):
-                    point = inv.take(offset + point)
-                c = position.take(point)
-                if c.min() < 0:
-                    raise ArithmeticError("a base image lies outside its basic orbit")
-                key *= len(orbit)
-                key += c
-                offsets.append(c * degree)
-        return out
+        key = np.zeros(len(images), dtype=np.int64)
+        offsets = []  # c_i * degree per level above
+        for j, (orbit, position) in enumerate(zip(self.orbits, self.positions)):
+            point = images[:, j]
+            # c * degree + point < |Delta_i| * degree <= |G| * degree <= 2**26
+            # (TABLE_BYTES_LIMIT / 4), so the flat index fits int32
+            for offset, inv in zip(offsets, flat):
+                point = inv.take(offset + point)
+            c = position.take(point)
+            if c.size and c.min() < 0:
+                raise ArithmeticError("a base image lies outside its basic orbit")
+            key *= len(orbit)
+            key += c
+            offsets.append(c * degree)
+        return key
 
 
 class _Level:
@@ -300,7 +295,7 @@ class _Level:
                 yield self.inverse(int(self.position[s[self.orbit[c]]]))[s[self.fwd[c]]]
 
 
-def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> StabilizerChain:
+def schreier_sims(degree: int, generators) -> StabilizerChain:
     """Deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
 
     Level i keeps generators S_i, all in G^(i), and the orbit Delta_i of b_i
@@ -337,7 +332,7 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     new orbit point is stored, so GroupTooLargeError is raised as soon as
     |G| * (degree + #generators) * 4 bytes, the size of an element table
     and its right-multiplication maps, passes TABLE_BYTES_LIMIT or the bound
-    passes cap; each of the two transversals, at most
+    passes DEFAULT_CAP; each of the two transversals, at most
     prod |Delta_i| + k rows, stays within the same limit.  A level stores
     the forward transversal, and inverts a row on first use; at the end the
     inverse transversals of all levels but the last are completed.
@@ -348,7 +343,7 @@ def schreier_sims(degree: int, generators, cap: int = DEFAULT_CAP) -> Stabilizer
     def check_orbit(level: _Level, m: int) -> None:
         # the level's orbit is about to hold m points
         order = m * math.prod(len(other.orbit) for other in levels if other is not level)
-        check_size(order, degree, len(generators), cap)
+        check_size(order, degree, len(generators))
 
     check_orbit(None, 1)  # the identity's row, which a group with no orbit has too
     ident = np.arange(degree, dtype=np.int32)
@@ -470,6 +465,18 @@ class PermGroup:
             raise KeyError("base images of a permutation outside the group") from None
         return self._id_of_key[keys]
 
+    def _id(self, z) -> int:
+        """z as an element id, or ValueError naming it: an integer by
+        _point's rule (a float or a bool is refused) in range(order), so
+        that numpy never wraps a negative id round to another element."""
+        try:
+            z = _point(z)
+        except ValueError:
+            raise ValueError(f"element id {z!r} is not an integer") from None
+        if not 0 <= z < self.order:
+            raise ValueError(f"element id {z} is not in range({self.order})")
+        return z
+
     def word(self, z: int) -> list[int]:
         """Generator indices a_1, ..., a_m with element z = g_{a_1} ... g_{a_m},
         read off the breadth-first tree; empty for the identity.
@@ -478,7 +485,7 @@ class PermGroup:
         parent[z] < z, so the walk ends at the identity, id 0, after the
         depth of z, which is the shortest such word.
         """
-        letters = []
+        z, letters = self._id(z), []
         while z:
             letters.append(int(self.parent_gen[z]))
             z = int(self.parent[z])
@@ -486,7 +493,7 @@ class PermGroup:
 
     def element(self, i: int) -> Permutation:
         p = Permutation.__new__(Permutation)
-        p.images = tuple(self.rows_of([i])[0].tolist())
+        p.images = tuple(self.rows_of([self._id(i)])[0].tolist())
         return p
 
     def _find(self, perm: Permutation) -> int:
@@ -533,7 +540,7 @@ class PermGroup:
         edge of the subtree costs one take per block, so a prefix that
         several words share is composed once.
         """
-        zs = [int(z) for z in zs]
+        zs = [self._id(z) for z in zs]
         at: dict[int, list[int]] = {0: []}   # node of the subtree -> positions j
         children: dict[int, list[int]] = {}
         for z in zs:
@@ -554,21 +561,22 @@ class PermGroup:
                 stack.extend((c, xz) for c in children.get(z, ()))
 
 
-def enumerate_group(degree: int, generators, cap: int = DEFAULT_CAP) -> PermGroup:
+def enumerate_group(degree: int, generators) -> PermGroup:
     """The group <generators>, its elements in breadth-first order from the
     identity.
 
     A stabilizer chain (schreier_sims) comes first: it gives |G| and a base
-    before any element is stored, and a group past cap stops there.  F_0 and
-    T_1 are read off its forward transversals (_factor_tables).  Then the
-    breadth-first closure runs, applying the generators in the given order
-    to each element of the frontier in turn (x-major); see _closure.
+    before any element is stored, and a group past check_size's limits
+    stops there.  F_0 and T_1 are read off its forward transversals
+    (_factor_tables).  Then the breadth-first closure runs, applying the
+    generators in the given order to each element of the frontier in turn
+    (x-major); see _closure.
     """
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     for g in gens:
         if g.degree != degree:
             raise ValueError("generator degree mismatch")
-    chain = schreier_sims(degree, gens, cap)
+    chain = schreier_sims(degree, gens)
     f0, t1 = _factor_tables(chain)
     # F_0 and T_1 hold all that rows_of reads of the forward transversals
     chain = replace(chain, transversals=())
@@ -909,20 +917,22 @@ def quotient_group(group: PermGroup, normal) -> PermGroup:
 
     The cosets are the orbits of the subgroup's right maps (_generated), and
     they are indexed by their smallest contained element id.  A set of ids
-    outside range(|G|), or that is not a subgroup, or a subgroup that some
-    generator does not conjugate into itself, raises ValueError.
+    that are not element ids (PermGroup._id) or not a subgroup, a PermGroup
+    not inside group, or a subgroup that some generator does not conjugate
+    into itself, raises ValueError.
     """
     if isinstance(normal, Subgroup):
         if normal.parent is not group:
             raise ValueError("subgroup belongs to a different parent group")
         normal = normal.element_ids
     if isinstance(normal, PermGroup):
-        seeds, order = [group.id_of(g) for g in normal.generators], normal.order
+        try:
+            seeds, order = [group.id_of(g) for g in normal.generators], normal.order
+        except KeyError:
+            raise ValueError(f"{normal!r} is not inside {group!r}") from None
     else:
-        seeds = sorted({int(i) for i in normal})
+        seeds = sorted({group._id(i) for i in normal})
         order = len(seeds)
-        if seeds and (seeds[0] < 0 or seeds[-1] >= group.order):
-            raise ValueError(f"element ids must lie in range({group.order})")
     _, lab = _generated(group, seeds)
     members = np.flatnonzero(lab == 0)
     if len(members) != order:

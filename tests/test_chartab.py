@@ -296,7 +296,7 @@ def test_evaluate_against_the_loops(o, start):
     o_inv, theta_inv = pow(o, -1, p), pow(theta, -1, p)
     loop = [[sum(c[t] * pow(theta_inv, d * t, p) for t in range(o)) * o_inv % p
              for d in range(o)] for c in chi]
-    lifted = modp.evaluate(np.array(chi, dtype=np.int64), theta_inv, o, range(o), p, scale=o_inv)
+    lifted = modp.evaluate(np.array(chi, dtype=np.int64), theta_inv, o, range(o), p) * o_inv % p
     assert lifted.tolist() == loop
     ks = [k for k in range(o) if math.gcd(k, o) == 1]
     evaluated = modp.evaluate(np.array(loop, dtype=np.int64), theta, o, ks, p)
@@ -309,7 +309,7 @@ def test_evaluate_against_the_loops(o, start):
 @pytest.mark.parametrize("order,length", [(1, 1), (7, 1), (7, 2), (12, 9), (12, 10),
                                           (151, 150), (200, 80)])
 def test_evaluate_against_python_sums(order, length):
-    # reference: the plain sum scale * sum_d c_d theta^(d k) in Python ints,
+    # reference: the plain sum sum_d c_d theta^(d k) in Python ints,
     # for exponents k that repeat, are negative or lie past the order, and
     # row lengths below the order, square or not
     p = next_prime_in_progression(order, 2**20)
@@ -317,10 +317,18 @@ def test_evaluate_against_python_sums(order, length):
     rng = random.Random(order * 1000 + length)
     coeffs = [[rng.randrange(p) for _ in range(length)] for _ in range(2)]
     ks = [rng.randrange(-3 * order, 3 * order) for _ in range(25)] + [0, 1, order - 1, order]
-    scale = rng.randrange(1, p)
-    got = modp.evaluate(np.array(coeffs, dtype=np.int64), theta, order, ks, p, scale=scale)
-    assert got.tolist() == [[scale * sum(c * pow(theta, d * k, p) for d, c in enumerate(row)) % p
+    got = modp.evaluate(np.array(coeffs, dtype=np.int64), theta, order, ks, p)
+    assert got.tolist() == [[sum(c * pow(theta, d * k, p) for d, c in enumerate(row)) % p
                              for k in ks] for row in coeffs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000])
+def test_powers_against_pow(n):
+    # the doubling table, for a theta of order 1000 and for one past p
+    p = next_prime_in_progression(1000, 2**20)
+    for theta in (element_of_order(1000, p), p + 3, 3 * p - 1):
+        got = modp.powers(theta, n, p)
+        assert got.dtype == np.int64 and got.tolist() == [pow(theta, t, p) for t in range(n)]
 
 
 # -- exponent and class coefficients ----------------------------------------

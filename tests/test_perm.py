@@ -72,9 +72,10 @@ def test_numpy_integer_images_accepted():
         assert p.images == (1, 2, 0) and all(type(x) is int for x in p.images)
 
 
-def test_cap_enforced():
+def test_cap_enforced(monkeypatch):
+    monkeypatch.setattr(perm, "DEFAULT_CAP", 10)
     with pytest.raises(GroupTooLargeError):
-        enumerate_group(5, A5.generators, cap=10)
+        enumerate_group(5, A5.generators)
 
 
 def test_conjugacy_classes_c4():
@@ -263,6 +264,8 @@ THREE_CYCLES = [0, *(S4.id_of(cycle(4, c)) for c in
     ({0, 10**6}, "range"),
     # the identity and the eight 3-cycles: a normal set, but they generate A4
     (set(THREE_CYCLES), "not a subgroup: they generate one of order 12"),
+    ({0, 1.5}, "element id 1.5 is not an integer"),  # int() would take 1
+    ({0, True}, "element id True is not an integer"),  # int() would take 1
 ])
 def test_quotient_rejects_ids_that_are_not_a_subgroup(ids, message):
     with pytest.raises(ValueError, match=message):
@@ -276,6 +279,26 @@ def test_quotient_by_subgroup_given_as_a_group():
     assert q.generators == quotient_group(S4, derived_subgroup(S4)).generators
     with pytest.raises(ValueError, match="different parent"):
         quotient_group(S3, derived_subgroup(S4))
+    # on other points, or on the same points but not inside
+    for group, normal in ((S4, build("C5")), (C4, S4)):
+        with pytest.raises(ValueError, match="is not inside"):
+            quotient_group(group, normal)
+
+
+@pytest.mark.parametrize("z,message", [
+    (-1, "element id -1 is not in range\\(6\\)"),  # numpy would wrap it round to id 5
+    (6, "element id 6 is not in range\\(6\\)"),
+    (2.0, "element id 2.0 is not an integer"),
+    (True, "element id True is not an integer"),
+    (np.bool_(True), "element id .*True.* is not an integer"),  # its repr varies
+])
+def test_element_ids_are_checked(z, message):
+    g = build("S3")
+    for call in (g.element, g.word, g.right_map, lambda z: list(g.right_map_blocks([0, z]))):
+        with pytest.raises(ValueError, match=message):
+            call(z)
+    # numpy integers are ids
+    assert g.element(np.int64(5)) == g.element(5) and g.word(np.int32(5)) == g.word(5)
 
 
 def test_determinism():
@@ -415,12 +438,13 @@ def test_chain_with_a_wrong_orbit_is_rejected(change, message, monkeypatch):
         enumerate_group(g.degree, g.generators)
 
 
-def test_chain_stops_at_the_cap():
+def test_chain_stops_at_the_cap(monkeypatch):
     # S9 x C3 has 1,088,640 elements, past the default cap of 10**6
     gens = [cycle(12, (0, 1)), cycle(12, tuple(range(9))), cycle(12, (9, 10, 11))]
     with pytest.raises(GroupTooLargeError, match="exceeded the cap of 1000000 elements"):
         schreier_sims(12, gens)
-    assert schreier_sims(12, gens, cap=1088640).order == 1088640
+    monkeypatch.setattr(perm, "DEFAULT_CAP", 1088640)
+    assert schreier_sims(12, gens).order == 1088640
 
 
 def test_tree_edges_are_not_sifted(monkeypatch):

@@ -22,7 +22,7 @@ def random_groups(seed, count, degree, max_order=400, max_classes=20):
         b = list(range(degree))
         rng.shuffle(a)
         rng.shuffle(b)
-        g = enumerate_group(degree, [Permutation(a), Permutation(b)], cap=10**5)
+        g = enumerate_group(degree, [Permutation(a), Permutation(b)])
         cd = conjugacy_classes(g)
         if g.order > max_order or cd.k > max_classes or g.order in seen:
             continue
