@@ -22,12 +22,16 @@ Then x*y = g^(log x + log y), x^-1 = g^(-log x), x^e = g^(e log x),
 p = 2, and x + y = x(1 + y/x) = g^(log x + Z(log y - log x)).  Every
 operation is an index lookup that returns an interned element, and the
 tables take O(q) space and O(q) multiplications in the model to build.
+FieldSpec.tables applies the same rules to every pair of encodings at
+once, for callers that act on many vectors of encodings.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+
+import numpy as np
 
 from .arith import is_prime
 from .modp import poly_mod, poly_mul
@@ -91,7 +95,8 @@ def _antilogs(p: int, m: int, modulus: tuple[int, ...]) -> list[int]:
 class FieldSpec:
     """A model of GF(p^m), made by field(p, m); g, its log base, generates GF(q)*."""
 
-    __slots__ = ("p", "m", "modulus", "order", "_elems", "_power", "_zech", "_neg_log")
+    __slots__ = ("p", "m", "modulus", "order", "_elems", "_power", "_zech", "_neg_log",
+                 "_tables")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -108,6 +113,7 @@ class FieldSpec:
         # 1 + x adds 1 to the lowest base-p digit of x's encoding
         self._zech = [log[i + 1 if i % p != p - 1 else i + 1 - p] for i in exp]
         self._neg_log = (q - 1) // 2 if p % 2 else 0
+        self._tables = None
 
     def __repr__(self):
         return f"GF({self.order})"
@@ -135,6 +141,34 @@ class FieldSpec:
     def elements(self):
         """All elements, in integer-encoding order."""
         return list(self._elems)
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(add, mul, inv) on the encodings: add[i, j] and mul[i, j] encode
+        x_i + x_j and x_i * x_j, and inv[i] encodes x_i^-1, x_i the element
+        with encoding i; inv[0] is 0.  Built on first use and kept, q^2
+        entries each, read-only.
+
+        FieldElem's rules on every pair at once: for nonzero x_i, x_j with
+        logs a and b, x_i * x_j = g^(a + b), x_i^-1 = g^(-a) and
+        x_i + x_j = g^(a + Z(b - a)), exponents mod q - 1, and 0 where Z is
+        None; a sum or product with 0 is read off directly.
+        """
+        if self._tables is None:
+            q, n = self.order, self.order - 1
+            exp = np.array([x.i for x in self._power[:n]])
+            log = np.array([x.log or 0 for x in self._elems])[:, None]
+            zech = np.array([-1 if z is None else z for z in self._zech])
+            mul = exp[(log + log.T) % n]
+            mul[0] = mul[:, 0] = 0
+            z = zech[(log.T - log) % n]
+            add = np.where(z < 0, 0, exp[(log + z) % n])
+            add[0] = add[:, 0] = np.arange(q)
+            inv = exp[-log[:, 0] % n]
+            inv[0] = 0
+            for table in (add, mul, inv):
+                table.flags.writeable = False
+            self._tables = add, mul, inv
+        return self._tables
 
 
 class FieldElem:

@@ -159,9 +159,13 @@ class Permutation:
         return f"Permutation({body})"
 
 
+# _closure's marker for a key met in the current frontier, above every
+# position there
+_UNSEEN = np.iinfo(np.int32).max
+
 # PermGroup.right_map_blocks composes maps over blocks of this many ids, so
 # that the maps it holds at once, one per branch point of its walk, stay
-# block-sized however large the group.
+# block-sized however large the group; _gather takes this many at a time.
 SIFT_BLOCK = 1 << 15
 
 
@@ -445,8 +449,19 @@ class PermGroup:
         by every id, or for one row of points per id.
 
         Two gathers, x(p) = F_0[c_0][T_1[r][p]] (_images; see the class
-        docstring).
+        docstring).  Each id is checked as _id checks one: an integer
+        array by its range in one pass, anything else id by id.
         """
+        if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
+            outside = (ids < 0) | (ids >= self.order)
+            if outside.any():
+                self._id(ids[outside][0])  # raises, naming the first id outside
+        else:
+            ids = [self._id(z) for z in ids]
+        return self._rows(ids, points)
+
+    def _rows(self, ids, points=None) -> np.ndarray:
+        """rows_of for ids known to be element ids, unchecked."""
         if points is None:
             points = np.arange(self.degree, dtype=np.int32)
         keys = self._key_of_id[np.asarray(ids, dtype=np.intp)][:, None]
@@ -493,7 +508,7 @@ class PermGroup:
 
     def element(self, i: int) -> Permutation:
         p = Permutation.__new__(Permutation)
-        p.images = tuple(self.rows_of([self._id(i)])[0].tolist())
+        p.images = tuple(self._rows([self._id(i)])[0].tolist())
         return p
 
     def _find(self, perm: Permutation) -> int:
@@ -623,14 +638,23 @@ def _closure(chain: StabilizerChain, f0: np.ndarray, t1: np.ndarray,
     The products x*g of a frontier are taken x-major and deduplicated by
     their chain keys, which are distinct on G: a product is new when its key
     has no id yet, and within a frontier the first occurrence of each key
-    wins, as in a scan over full rows.  Only the base images x(g(b)) are
-    read and sifted: x(p) at each distinct point p = g_i(b_j) (_images),
-    one point at a time.  Once a frontier's new elements have ids,
-    the ids of all its products give right[i][x] = id(x * g_i) for each x in
-    the frontier; a new element z = x * g_i records parent[z] = x and
-    parent_gen[z] = i, and x came from an earlier frontier, so
-    parent[z] < z.  Every level writes these arrays by slices.  A count
-    other than |G| raises ArithmeticError.
+    wins, as in a scan over full rows.  The first occurrences come from one
+    scatter-min, with no sort and no array beyond id_of_key: each new key's
+    -1 entry is raised to _UNSEEN, above every x-major position (they are
+    below |G| * #generators <= 2**26), then np.minimum.at lowers it to the
+    smallest position p holding the key.  A scan meets the products in
+    x-major position order, so that smallest p is the key's first
+    occurrence; the positions p with id_of_key[key[p]] == p are the first
+    occurrences, one per new key, and in increasing p, the scan's order.
+    They take the next ids in that order, which overwrites every marker.
+
+    Only the base images x(g(b)) are read and sifted: x(p) at each distinct
+    point p = g_i(b_j) (_images), one point at a time.  Once a frontier's
+    new elements have ids, the ids of all its products give
+    right[i][x] = id(x * g_i) for each x in the frontier; a new element
+    z = x * g_i records parent[z] = x and parent_gen[z] = i, and x came
+    from an earlier frontier, so parent[z] < z.  Every level writes these
+    arrays by slices.  A count other than |G| raises ArithmeticError.
     """
     order, k, n_gens = chain.order, len(chain.base), len(gens)
     id_of_key = np.full(order, -1, dtype=np.int32)
@@ -659,16 +683,19 @@ def _closure(chain: StabilizerChain, f0: np.ndarray, t1: np.ndarray,
             for i, w in enumerate(where):
                 keys[:, i] = chain.keys(at.take(w, axis=0).T)
             keys = keys.ravel()
-            ids = id_of_key[keys]
-            fresh = (ids < 0).nonzero()[0]
-            fresh_keys = keys[fresh]
-            _, first = np.unique(fresh_keys, return_index=True)
-            first.sort()
-            new = fresh[first]
+            ids = id_of_key.take(keys)
+            # x-major positions without an id, as int32, which np.minimum.at
+            # scatters fast into the int32 id_of_key
+            fresh = np.flatnonzero(ids < 0).astype(np.int32)
+            fresh_keys = keys.take(fresh)
+            id_of_key[fresh_keys] = _UNSEEN
+            np.minimum.at(id_of_key, fresh_keys, fresh)
+            new = fresh[id_of_key.take(fresh_keys) == fresh]
             end = count + len(new)
-            id_of_key[fresh_keys[first]] = np.arange(count, end)
-            key_of_id[count:end] = fresh_keys[first]
-            ids[fresh] = id_of_key[fresh_keys]
+            new_keys = keys.take(new)
+            id_of_key[new_keys] = np.arange(count, end)
+            key_of_id[count:end] = new_keys
+            ids[fresh] = id_of_key.take(fresh_keys)
             right[:, lo:count] = ids.reshape(count - lo, n_gens).T
             x, g = np.divmod(new, n_gens)
             parent[count:end] = x + lo
@@ -719,7 +746,7 @@ def _base_walk(group: PermGroup, xs):
 
     The base separates G, so x^t is the identity exactly when it fixes the
     base, and the walk b, x(b), x^2(b), ... of x first returns at t = o(x);
-    x leaves the walk there.  Each t is one rows_of call for every x still
+    x leaves the walk there.  Each t is one _rows call for every x still
     walking, at the walked points only, so no full row is read.  An empty
     base (the trivial group) walks one step.
     """
@@ -729,9 +756,21 @@ def _base_walk(group: PermGroup, xs):
     cur = np.tile(base, (len(xs), 1))
     while live.size:
         yield live, cur
-        cur = group.rows_of(xs[live], cur)
+        cur = group._rows(xs[live], cur)
         walking = ~(cur == base).all(axis=1)
         live, cur = live[walking], cur[walking]
+
+
+def _gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a[idx] for int32 indices idx, by ndarray.take on SIFT_BLOCK of them
+    at a time.  take gathers faster than fancy indexing, but first copies
+    the indices to intp, and the blocks keep that copy small.  out may be
+    idx itself, as each block is read before it is written, but not a."""
+    if out is None:
+        out = np.empty(len(idx), dtype=a.dtype)
+    for lo in range(0, len(idx), SIFT_BLOCK):
+        out[lo:lo + SIFT_BLOCK] = a.take(idx[lo:lo + SIFT_BLOCK])
+    return out
 
 
 def _left_maps(group: PermGroup, hs) -> np.ndarray:
@@ -744,17 +783,21 @@ def _left_maps(group: PermGroup, hs) -> np.ndarray:
     parent is nondecreasing; with L filled below hi, every z with
     parent[z] < hi, the run of ids up to searchsorted(parent, hi), can be
     filled next.  That run is the next breadth-first level, and it includes
-    hi itself, as parent[hi] < hi, so each step is one gather and the fill
-    ends after depth-of-the-tree steps.
+    hi itself, as parent[hi] < hi, so each step is two takes per row and
+    the fill ends after depth-of-the-tree steps.  right[a][y] is entry
+    a * |G| + y of the flattened maps, below |G| * #generators <= 2**26.
     """
     hs = np.asarray(hs, dtype=np.int32)
     out = np.empty((len(hs), group.order), dtype=np.int32)
     out[:, 0] = hs
+    flat = group.right.ravel()
     hi = 1
     while hi < group.order:
         end = int(np.searchsorted(group.parent, hi))
         z = slice(hi, end)
-        out[:, z] = group.right[group.parent_gen[z], out[:, group.parent[z]]]
+        parents, offsets = group.parent[z], group.parent_gen[z] * np.int32(group.order)
+        for row in out:
+            row[z] = _gather(flat, _gather(row, parents) + offsets)
         hi = end
     return out
 
@@ -765,7 +808,10 @@ def _conjugation_maps(group: PermGroup) -> np.ndarray:
     right[i] is a permutation of the ids with id(g_i^-1 * g_i) = 0, so
     g_i^-1 is where it holds 0, and nothing is sifted.
     """
-    return np.take_along_axis(group.right, _left_maps(group, group.right.argmin(axis=1)), axis=1)
+    maps = _left_maps(group, group.right.argmin(axis=1))
+    for right, m in zip(group.right, maps):
+        _gather(right, m, out=m)
+    return maps
 
 
 def _orbit_labels(maps, lab: np.ndarray) -> np.ndarray:
@@ -782,10 +828,10 @@ def _orbit_labels(maps, lab: np.ndarray) -> np.ndarray:
     ids rise against the map takes about one round per element.
     """
     while True:
-        new = lab
+        new = lab.copy()
         for m in maps:
-            new = np.minimum(new, new[m])
-        new = new[new]
+            np.minimum(new, _gather(new, m), out=new)
+        new = _gather(new, new)
         if np.array_equal(new, lab):
             return lab
         lab = new

@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import element_of_order, factorize, is_prime, units
 from .gf import field
 from .perm import PermGroup, Permutation, check_size, enumerate_group
@@ -113,11 +115,6 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _proj_line_points(F):
-    # (x : 1) for each field element in encoding order, then infinity (1 : 0)
-    return [(F.from_int(i), F.one) for i in range(F.order)] + [(F.one, F.zero)]
-
-
 def _sl2_generators(F):
     # upper unipotents over an additive basis plus the Weyl element generate SL2
     one, zero = F.one, F.zero
@@ -129,43 +126,69 @@ def _sl2_generators(F):
     return gens
 
 
-def _mat_apply(mat, vec):
-    return tuple(sum((row[j] * vec[j] for j in range(1, len(vec))), row[0] * vec[0])
-                 for row in mat)
+# Points are vectors over GF(q), one row of field encodings each, and a
+# matrix acts on all of them at once through FieldSpec.tables.
 
 
-def _point_action(mats, points, image):
-    """The permutations of the points, in list order, by which the matrices
-    act, the image of point pt under mat being image(mat, pt)."""
-    index = {pt: i for i, pt in enumerate(points)}
-    return len(points), [Permutation([index[image(mat, pt)] for pt in points]) for mat in mats]
+def _mat_apply(tables, mat, vecs):
+    """The rows mat * v for the rows v of vecs, one table lookup per entry
+    of mat and all rows at once."""
+    add, mul, _ = tables
+    out = np.empty_like(vecs)
+    for r, row in enumerate(mat):
+        acc = mul[int(row[0]), vecs[:, 0]]
+        for a, col in zip(row[1:], vecs.T[1:]):
+            acc = add[acc, mul[int(a), col]]
+        out[:, r] = acc
+    return out
+
+
+def _projective(tables, vecs):
+    """Each nonzero row of vecs scaled so that its first nonzero entry is 1:
+    one row per point of projective space."""
+    _, mul, inv = tables
+    lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    return mul[inv[lead][:, None], vecs]
+
+
+def _point_action(F, mats, points, projective=False):
+    """The permutations of the rows of points, in row order, by which the
+    matrices act: row v goes to mat * v, through _projective if projective.
+    A row is found by its entries read as base-q digits, in an array of
+    q^dim entries (at most 8^4 = 4096, for Sz(8))."""
+    tables, q, dim = F.tables(), F.order, points.shape[1]
+    place = q ** np.arange(dim)
+    where = np.full(q**dim, -1)
+    where[points @ place] = np.arange(len(points))
+    perms = []
+    for mat in mats:
+        images = _mat_apply(tables, mat, points)
+        if projective:
+            images = _projective(tables, images)
+        perms.append(Permutation(where[images @ place].tolist()))
+    return len(points), perms
 
 
 def psl2(q: int):
-    """Image of SL(2,q) acting on the projective line (q + 1 points)."""
+    """Image of SL(2,q) acting on the projective line (q + 1 points): (x : 1)
+    for each field element in encoding order, then infinity (1 : 0)."""
     if not 4 <= q <= 32:
         raise SpecSemanticError("PSL(2,q) is supported for 4 <= q <= 32")
     p, m = _prime_power(q)
     F = field(p, m)
-
-    def image(mat, pt):
-        u, v = _mat_apply(mat, pt)
-        if v:
-            return (u * v.inv(), F.one)
-        return (F.one, F.zero)
-
-    return _point_action(_sl2_generators(F), _proj_line_points(F), image)
+    line = np.array([(x, 1) for x in range(q)] + [(1, 0)])
+    return _point_action(F, _sl2_generators(F), _projective(F.tables(), line), projective=True)
 
 
 def sl2(q: int):
-    """SL(2,q) acting faithfully on the q^2 - 1 nonzero vectors."""
+    """SL(2,q) acting faithfully on the q^2 - 1 nonzero vectors (i, j), in
+    the order of the encodings i * q + j."""
     if not 4 <= q <= 32:
         raise SpecSemanticError("SL(2,q) is supported for 4 <= q <= 32")
     p, m = _prime_power(q)
     F = field(p, m)
-    points = [(F.from_int(i), F.from_int(j)) for i in range(F.order) for j in range(F.order)
-              if i or j]
-    return _point_action(_sl2_generators(F), points, _mat_apply)
+    points = np.stack(np.divmod(np.arange(1, q * q), q), axis=1)
+    return _point_action(F, _sl2_generators(F), points)
 
 
 # -- the Suzuki group -------------------------------------------------------
@@ -219,25 +242,22 @@ def sz(q: int):
          (one, zero, zero, zero))
     gens = [u(one, zero), u(zero, one), m_kappa, w]
 
-    def image(mat, pt):
-        vec = _mat_apply(mat, pt)
-        inv = next(x for x in vec if x).inv()
-        return tuple(inv * x for x in vec)
-
     # the orbit of (1:0:0:0), breadth first, each point's images in
-    # generator order
-    points = [(one, zero, zero, zero)]
-    seen = set(points)
-    for pt in points:
-        for mat in gens:
-            img = image(mat, pt)
-            if img not in seen:
-                seen.add(img)
-                points.append(img)
+    # generator order: a frontier's images point-major, first occurrences kept
+    tables, points, seen = F.tables(), [(1, 0, 0, 0)], {(1, 0, 0, 0)}
+    frontier = np.array(points)
+    while len(frontier):
+        images = np.stack([_projective(tables, _mat_apply(tables, mat, frontier))
+                           for mat in gens], axis=1)
+        new = [pt for pt in dict.fromkeys(map(tuple, images.reshape(-1, 4).tolist()))
+               if pt not in seen]
+        seen.update(new)
+        points += new
+        frontier = np.array(new, dtype=frontier.dtype).reshape(-1, 4)
     if len(points) != q * q + 1:
         raise ArithmeticError(
             f"Suzuki ovoid orbit has {len(points)} points, expected {q * q + 1}")
-    return _point_action(gens, points, image)
+    return _point_action(F, gens, np.array(points), projective=True)
 
 
 def _product_generators(factors):

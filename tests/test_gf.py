@@ -129,3 +129,22 @@ def test_order_in_field_counts_powers(p, m):
         for j in range(k + 1):
             assert x ** j == cur
             cur = cur * x
+
+
+# every field the matrix-group families act over: PSL(2,q) and SL(2,q) for
+# the prime powers 4 <= q <= 32, and GF(8) for Sz(8)
+FAMILY_FIELDS = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (17, 1),
+                 (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1), (2, 5)]
+
+
+@pytest.mark.parametrize("p,m", FAMILY_FIELDS)
+def test_tables_against_field_elements(p, m):
+    # oracle: FieldElem's +, * and inv() on every pair of elements
+    F = field(p, m)
+    add, mul, inv = F.tables()
+    elems = F.elements()
+    assert add.shape == mul.shape == (F.order, F.order) and inv.shape == (F.order,)
+    assert add.tolist() == [[(x + y).i for y in elems] for x in elems]
+    assert mul.tolist() == [[(x * y).i for y in elems] for x in elems]
+    assert inv.tolist() == [0] + [x.inv().i for x in elems[1:]]
+    assert F.tables() is F.tables()
