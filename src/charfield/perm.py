@@ -165,7 +165,7 @@ _UNSEEN = np.iinfo(np.int32).max
 
 # PermGroup.right_map_blocks composes maps over blocks of this many ids, so
 # that the maps it holds at once, one per branch point of its walk, stay
-# block-sized however large the group; _gather takes this many at a time.
+# block-sized however large the group.
 SIFT_BLOCK = 1 << 15
 
 
@@ -449,16 +449,9 @@ class PermGroup:
         by every id, or for one row of points per id.
 
         Two gathers, x(p) = F_0[c_0][T_1[r][p]] (_images; see the class
-        docstring).  Each id is checked as _id checks one: an integer
-        array by its range in one pass, anything else id by id.
+        docstring).  Each id is checked as _id checks one.
         """
-        if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
-            outside = (ids < 0) | (ids >= self.order)
-            if outside.any():
-                self._id(ids[outside][0])  # raises, naming the first id outside
-        else:
-            ids = [self._id(z) for z in ids]
-        return self._rows(ids, points)
+        return self._rows([self._id(z) for z in ids], points)
 
     def _rows(self, ids, points=None) -> np.ndarray:
         """rows_of for ids known to be element ids, unchecked."""
@@ -761,18 +754,6 @@ def _base_walk(group: PermGroup, xs):
         live, cur = live[walking], cur[walking]
 
 
-def _gather(a: np.ndarray, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a[idx] for int32 indices idx, by ndarray.take on SIFT_BLOCK of them
-    at a time.  take gathers faster than fancy indexing, but first copies
-    the indices to intp, and the blocks keep that copy small.  out may be
-    idx itself, as each block is read before it is written, but not a."""
-    if out is None:
-        out = np.empty(len(idx), dtype=a.dtype)
-    for lo in range(0, len(idx), SIFT_BLOCK):
-        out[lo:lo + SIFT_BLOCK] = a.take(idx[lo:lo + SIFT_BLOCK])
-    return out
-
-
 def _left_maps(group: PermGroup, hs) -> np.ndarray:
     """L[j][z] = id(h_j * z) for the element ids h_j, one row each, read off
     the breadth-first tree without a sift.
@@ -795,9 +776,10 @@ def _left_maps(group: PermGroup, hs) -> np.ndarray:
     while hi < group.order:
         end = int(np.searchsorted(group.parent, hi))
         z = slice(hi, end)
-        parents, offsets = group.parent[z], group.parent_gen[z] * np.int32(group.order)
+        # int32 before the product, which parent_gen's uint8 or uint16 would wrap
+        parents, offsets = group.parent[z], group.parent_gen[z].astype(np.int32) * group.order
         for row in out:
-            row[z] = _gather(flat, _gather(row, parents) + offsets)
+            row[z] = flat.take(row.take(parents) + offsets)
         hi = end
     return out
 
@@ -810,7 +792,7 @@ def _conjugation_maps(group: PermGroup) -> np.ndarray:
     """
     maps = _left_maps(group, group.right.argmin(axis=1))
     for right, m in zip(group.right, maps):
-        _gather(right, m, out=m)
+        m[:] = right.take(m)
     return maps
 
 
@@ -830,8 +812,8 @@ def _orbit_labels(maps, lab: np.ndarray) -> np.ndarray:
     while True:
         new = lab.copy()
         for m in maps:
-            np.minimum(new, _gather(new, m), out=new)
-        new = _gather(new, new)
+            np.minimum(new, new.take(m), out=new)
+        new = new.take(new)
         if np.array_equal(new, lab):
             return lab
         lab = new

@@ -303,8 +303,7 @@ def test_element_ids_are_checked(z, message):
 
 
 def test_rows_of_checks_id_arrays():
-    # an integer array is checked by its range in one pass, any other array
-    # id by id
+    # an array's ids are checked one by one, as element checks one
     g = build("S3")
     for ids, message in ((np.array([0, -1]), "element id -1 is not in range\\(6\\)"),
                          (np.array([6], dtype=np.uint8), "element id 6 is not in range\\(6\\)"),
