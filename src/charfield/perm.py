@@ -34,12 +34,14 @@ Subgroup's generator_ids is a generating list of at most log2 |H| ids
 (_generated).
 
 The element cap, DEFAULT_CAP = 10**6, keeps accidental monsters out; the
-largest built-in group, S9, has 362880 elements.  TABLE_BYTES_LIMIT does
-the same for wide groups: |G| * (degree + #generators) * 4 bytes, what an
-element table and the maps would take, passes the memory of a small
-machine well inside the element cap.  check_size applies both rules; the zoo's
-families whose order is known in closed form call it before building a
-generator, so a spec past them stops before one point is allocated.
+largest single family member, S9, has 362880 elements, and direct products
+reach up to the cap (S9xC2 has 725760).  TABLE_BYTES_LIMIT does the same
+for wide groups: |G| * (degree + #generators) * 4 bytes, what an element
+table and the maps would take, passes the memory of a small machine well
+inside the element cap.  check_size applies both rules; the zoo's families
+whose order is known in closed form call it before building a generator,
+and a direct product calls it on a lower bound of its order before building
+its own, so a spec past them stops before one point is allocated.
 """
 
 from __future__ import annotations

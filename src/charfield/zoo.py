@@ -22,7 +22,7 @@ import numpy as np
 
 from .arith import element_of_order, factorize, is_prime, units
 from .gf import field
-from .perm import PermGroup, Permutation, check_size, enumerate_group
+from .perm import DEFAULT_CAP, PermGroup, Permutation, check_size, enumerate_group
 
 
 class SpecSyntaxError(ValueError):
@@ -107,48 +107,43 @@ def alternating(n: int):
     return n, [long, _cycle_perm(n, (0, 1, 2))]
 
 
-def _prime_power(q: int) -> tuple[int, int]:
+def _field_of_order(q: int):
     f = factorize(q)
     if len(f) != 1:
         raise SpecSemanticError(f"{q} is not a prime power")
     (p, m), = f.items()
-    return p, m
+    return field(p, m)
 
 
 def _sl2_generators(F):
-    # upper unipotents over an additive basis plus the Weyl element generate SL2
-    one, zero = F.one, F.zero
-    gens = []
-    for i in range(F.m):
-        e = F.elem([0] * i + [1])
-        gens.append(((one, e), (zero, one)))
-    gens.append(((zero, one), (zero - one, zero)))
+    # upper unipotents over the additive basis p^i plus the Weyl element
+    # generate SL2; -1 is the encoding p - 1
+    gens = [((1, F.p**i), (0, 1)) for i in range(F.m)]
+    gens.append(((0, 1), (F.p - 1, 0)))
     return gens
 
 
 # Points are vectors over GF(q), one row of field encodings each, and a
-# matrix acts on all of them at once through FieldSpec.tables.
+# matrix acts on all of them at once through F's add, mul and inv tables.
 
 
-def _mat_apply(tables, mat, vecs):
+def _mat_apply(F, mat, vecs):
     """The rows mat * v for the rows v of vecs, one table lookup per entry
     of mat and all rows at once."""
-    add, mul, _ = tables
     out = np.empty_like(vecs)
     for r, row in enumerate(mat):
-        acc = mul[int(row[0]), vecs[:, 0]]
+        acc = F.mul[row[0], vecs[:, 0]]
         for a, col in zip(row[1:], vecs.T[1:]):
-            acc = add[acc, mul[int(a), col]]
+            acc = F.add[acc, F.mul[a, col]]
         out[:, r] = acc
     return out
 
 
-def _projective(tables, vecs):
+def _projective(F, vecs):
     """Each nonzero row of vecs scaled so that its first nonzero entry is 1:
     one row per point of projective space."""
-    _, mul, inv = tables
     lead = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-    return mul[inv[lead][:, None], vecs]
+    return F.mul[F.inv[lead][:, None], vecs]
 
 
 def _point_action(F, mats, points, projective=False):
@@ -156,15 +151,15 @@ def _point_action(F, mats, points, projective=False):
     matrices act: row v goes to mat * v, through _projective if projective.
     A row is found by its entries read as base-q digits, in an array of
     q^dim entries (at most 8^4 = 4096, for Sz(8))."""
-    tables, q, dim = F.tables(), F.order, points.shape[1]
+    q, dim = F.order, points.shape[1]
     place = q ** np.arange(dim)
     where = np.full(q**dim, -1)
     where[points @ place] = np.arange(len(points))
     perms = []
     for mat in mats:
-        images = _mat_apply(tables, mat, points)
+        images = _mat_apply(F, mat, points)
         if projective:
-            images = _projective(tables, images)
+            images = _projective(F, images)
         perms.append(Permutation(where[images @ place].tolist()))
     return len(points), perms
 
@@ -174,10 +169,9 @@ def psl2(q: int):
     for each field element in encoding order, then infinity (1 : 0)."""
     if not 4 <= q <= 32:
         raise SpecSemanticError("PSL(2,q) is supported for 4 <= q <= 32")
-    p, m = _prime_power(q)
-    F = field(p, m)
+    F = _field_of_order(q)
     line = np.array([(x, 1) for x in range(q)] + [(1, 0)])
-    return _point_action(F, _sl2_generators(F), _projective(F.tables(), line), projective=True)
+    return _point_action(F, _sl2_generators(F), _projective(F, line), projective=True)
 
 
 def sl2(q: int):
@@ -185,8 +179,7 @@ def sl2(q: int):
     the order of the encodings i * q + j."""
     if not 4 <= q <= 32:
         raise SpecSemanticError("SL(2,q) is supported for 4 <= q <= 32")
-    p, m = _prime_power(q)
-    F = field(p, m)
+    F = _field_of_order(q)
     points = np.stack(np.divmod(np.arange(1, q * q), q), axis=1)
     return _point_action(F, _sl2_generators(F), points)
 
@@ -215,39 +208,38 @@ def sz(q: int):
         if list(f) != [2] or f[2] < 3 or f[2] % 2 == 0:
             raise SpecSemanticError(f"Sz({q}): q must be 2^(2t+1) with t >= 1")
         raise SpecSemanticError(f"Sz({q}) exceeds the desk cap (only Sz(8) is built)")
-    t = 1
     F = field(2, 3)
-    one, zero = F.one, F.zero
+    add, mul = F.add, F.mul
 
-    def s(x):
-        return x.frobenius(t + 1)
+    def s(x):  # x^(2^(t+1)) = x^4, t = 1
+        return mul[mul[x, x], mul[x, x]]
 
     def f_form(a, b):
-        return s(a) * a * a + a * b + s(b)
+        return add[add[mul[mul[s(a), a], a], mul[a, b]], s(b)]
 
     def u(a, b):
-        return ((one, a, s(a) * a + b, f_form(a, b)),
-                (zero, one, s(a), b),
-                (zero, zero, one, a),
-                (zero, zero, zero, one))
+        return ((1, a, add[mul[s(a), a], b], f_form(a, b)),
+                (0, 1, s(a), b),
+                (0, 0, 1, a),
+                (0, 0, 0, 1))
 
-    kappa = F.elem([0, 1])  # the class of x; 7 is prime, so it generates GF(8)*
-    m_kappa = ((s(kappa) * kappa * kappa, zero, zero, zero),
-               (zero, s(kappa) * kappa, zero, zero),
-               (zero, zero, kappa, zero),
-               (zero, zero, zero, one))
-    w = ((zero, zero, zero, one),
-         (zero, zero, one, zero),
-         (zero, one, zero, zero),
-         (one, zero, zero, zero))
-    gens = [u(one, zero), u(zero, one), m_kappa, w]
+    kappa = 2  # the class of x; 7 is prime, so it generates GF(8)*
+    m_kappa = ((mul[mul[s(kappa), kappa], kappa], 0, 0, 0),
+               (0, mul[s(kappa), kappa], 0, 0),
+               (0, 0, kappa, 0),
+               (0, 0, 0, 1))
+    w = ((0, 0, 0, 1),
+         (0, 0, 1, 0),
+         (0, 1, 0, 0),
+         (1, 0, 0, 0))
+    gens = [u(1, 0), u(0, 1), m_kappa, w]
 
     # the orbit of (1:0:0:0), breadth first, each point's images in
     # generator order: a frontier's images point-major, first occurrences kept
-    tables, points, seen = F.tables(), [(1, 0, 0, 0)], {(1, 0, 0, 0)}
+    points, seen = [(1, 0, 0, 0)], {(1, 0, 0, 0)}
     frontier = np.array(points)
     while len(frontier):
-        images = np.stack([_projective(tables, _mat_apply(tables, mat, frontier))
+        images = np.stack([_projective(F, _mat_apply(F, mat, frontier))
                            for mat in gens], axis=1)
         new = [pt for pt in dict.fromkeys(map(tuple, images.reshape(-1, 4).tolist()))
                if pt not in seen]
@@ -262,6 +254,13 @@ def sz(q: int):
 
 def _product_generators(factors):
     degree = sum(d for d, _ in factors)
+    # a factor with a non-identity generator has at least 2 elements, so the
+    # product has at least 2^moving: refuse it before a generator is built.
+    # 2^bit_length(DEFAULT_CAP) already passes the cap, so the bound stops there
+    moving = sum(any(i != x for g in gens for i, x in enumerate(g.images))
+                 for _, gens in factors)
+    check_size(2 ** min(moving, DEFAULT_CAP.bit_length()), degree,
+               sum(len(gens) for _, gens in factors))
     gens = []
     offset = 0
     for d, factor_gens in factors:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from charfield import perm
+from charfield import perm, zoo
 from charfield.arith import factorize
 from charfield.perm import (
     GroupTooLargeError,
@@ -209,9 +209,25 @@ def test_product_checks_the_cap_before_enumerating(monkeypatch):
     assert orders == []
 
 
+
+def test_product_checks_a_size_bound_before_building_its_generators(monkeypatch):
+    # 3,000 factors C2 have at least 2^3000 elements: no generator of the
+    # 6,000-point product may be built, only the factors' own
+    degrees = []
+
+    class Counted(perm.Permutation):
+        def __init__(self, images):
+            super().__init__(images)
+            degrees.append(self.degree)
+
+    monkeypatch.setattr(zoo, "Permutation", Counted)
+    with pytest.raises(GroupTooLargeError, match="group too large"):
+        build("x".join(["C2"] * 3000))
+    assert degrees == [2] * 3000
+
 # sha256 of json.dumps([degree, [images of each generator]]) with compact
 # separators, recorded when FieldElem multiplied polynomials and reduced them
-# modulo the field's modulus; the log-table arithmetic must reproduce every
+# modulo the field's modulus; the table arithmetic must reproduce every
 # generator permutation
 GENERATOR_DIGESTS = {
     "PSL(2,4)": "98a548ec097575d99c26a66ceea1aa7e1fadec460801e11602abdad77a2b3ab0",
