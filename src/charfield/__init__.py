@@ -2,10 +2,11 @@
 small finite groups.
 
 The pipeline: build a permutation group (cyclic, dihedral, Frobenius,
-alternating/symmetric, PSL(2,q), SL(2,q), Sz(8), direct products), compute
-its exact character table by the Dixon-Schneider modular method, bucket
-the irreducible rows by their fields of values, and report the largest
-bucket f(G) together with the classic class-number bound comparisons.
+alternating/symmetric, PSL(2,q), SL(2,q), Sz(8), generators in cycle
+notation, direct products), compute its exact character table by the
+Dixon-Schneider modular method, bucket the irreducible rows by their
+fields of values, and report the largest bucket f(G) together with the
+classic class-number bound comparisons.
 All arithmetic is exact (cyclotomic integers over Q); nothing is floating
 point.
 """
@@ -47,8 +48,6 @@ from .perm import (
     derived_subgroup,
     element_order_spectrum,
     enumerate_group,
-    group_from_json,
-    group_to_json,
     power_map,
     quotient_group,
 )
@@ -65,7 +64,7 @@ __all__ = [
     "count_subfields", "degree_bound_check", "degree_over_Q",
     "derived_subgroup", "dixon_table", "element_order_spectrum",
     "enumerate_group", "exponent", "f_value", "field", "field_of_values",
-    "galois", "group_from_json", "group_to_json", "monotonicity_check",
-    "omega_degree", "parse_spec", "power_map", "quotient_group",
-    "rational_count", "root_of_unity", "run_suite", "validate_table",
+    "galois", "monotonicity_check", "omega_degree", "parse_spec",
+    "power_map", "quotient_group", "rational_count", "root_of_unity",
+    "run_suite", "validate_table",
 ]

@@ -6,11 +6,12 @@
     charfield omega RANGE [--format ...] [--out FILE]
     charfield subfields RANGE --d D [--format ...] [--out FILE]
 
-RANGE is "lo..hi" or a single integer.  Exit codes: 0 success,
-1 verification failure, 2 parse/range error or an --out FILE that cannot
-be written ("output error: ..." on stderr), 3 construction error,
-4 computation failure.  Output is deterministic byte-for-byte for
-identical flags.
+SPEC is a group spec (see zoo), such as "A5", "C3xC3" or, in cycle
+notation, "<(1,2,3),(1,2)>".  RANGE is "lo..hi" or a single integer.
+Exit codes: 0 success, 1 verification failure, 2 parse/range error or an
+--out FILE that cannot be written ("output error: ..." on stderr),
+3 construction error, 4 computation failure.  Output is deterministic
+byte-for-byte for identical flags.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ The coordinates are coeffs[i] / den: plain ints over one positive common
 denominator with gcd(den, *coeffs) == 1, a content fixed by the value since
 the power basis is a Z-basis of Z[zeta_n].  Character values are algebraic
 integers (den == 1).  Fractions appear only at the API edge: Cyclo(n,
-coeffs), from_rational, rational_value, sort_key, str, to_obj, from_obj.
+coeffs), from_rational, rational_value, sort_key, str and to_obj.
 galois keeps the conductor and the content, so it needs no descent and no
 gcd (proof in its docstring).
 
@@ -289,36 +289,6 @@ class Cyclo:
         """JSON-ready form: {"n": conductor, "c": [[exponent, num, den], ...]}."""
         fracs = ((i, Fraction(c, self.den)) for i, c in enumerate(self.coeffs) if c)
         return {"n": self.n, "c": [[i, f.numerator, f.denominator] for i, f in fracs]}
-
-    @staticmethod
-    def from_obj(obj) -> "Cyclo":
-        """The value of to_obj's form.  Anything else raises ValueError
-        naming the fault: not a dict with keys "n" and "c", a conductor n
-        that is not an int >= 1, "c" not a list of [exponent, numerator,
-        denominator] triples, an exponent not an int in range(n) or
-        repeated, a numerator or denominator not an int, or a zero
-        denominator.  type(x) is int excludes bool."""
-        if not isinstance(obj, dict) or not {"n", "c"} <= obj.keys():
-            raise ValueError(f"{obj!r} is not a dict with keys 'n' and 'c'")
-        n, c, terms = obj["n"], obj["c"], {}
-        if type(n) is not int or n < 1:
-            raise ValueError(f"conductor {n!r} is not an int >= 1")
-        if not isinstance(c, (list, tuple)):
-            raise ValueError(f"coefficients {c!r} are not a list")
-        for term in c:
-            if not isinstance(term, (list, tuple)) or len(term) != 3:
-                raise ValueError(f"term {term!r} is not [exponent, numerator, denominator]")
-            i, num, den = term
-            if type(i) is not int or not 0 <= i < n:
-                raise ValueError(f"exponent {i!r} is not in range({n})")
-            if i in terms:
-                raise ValueError(f"exponent {i} is repeated")
-            if type(num) is not int or type(den) is not int:
-                raise ValueError(f"exponent {i} has a numerator or denominator that is not an int")
-            if not den:
-                raise ValueError(f"exponent {i} has a zero denominator")
-            terms[i] = Fraction(num, den)
-        return Cyclo(n, [terms.get(i, 0) for i in range(n)])
 
 
 def _coerce(x) -> "Cyclo":

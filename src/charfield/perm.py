@@ -40,14 +40,14 @@ for wide groups: |G| * (degree + #generators) * 4 bytes, what an element
 table and the maps would take, passes the memory of a small machine well
 inside the element cap.  check_size applies both rules; the zoo's families
 whose order is known in closed form call it before building a generator,
-and a direct product calls it on a lower bound of its order before building
-its own, so a spec past them stops before one point is allocated.
+a cycle spec calls it on its identity row, and a direct product calls it on
+a lower bound of its order before building its own, so a spec past them
+stops before one point is allocated.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -67,13 +67,14 @@ class GroupTooLargeError(ValueError):
 
 
 def check_size(order: int, degree: int, n_generators: int) -> None:
-    """Refuse a group of `order` elements on `degree` points with n_generators
-    generators if its element table and right-multiplication maps,
-    order * (degree + n_generators) * 4 bytes, pass TABLE_BYTES_LIMIT, or
-    else if order passes DEFAULT_CAP."""
+    """Refuse a group of at least `order` elements on `degree` points with
+    n_generators generators if its element table and right-multiplication
+    maps, order * (degree + n_generators) * 4 bytes, pass TABLE_BYTES_LIMIT,
+    or else if order passes DEFAULT_CAP.  Callers may pass a lower bound of
+    the order, so the message says "at least"."""
     if order * (degree + n_generators) * 4 > TABLE_BYTES_LIMIT:
         raise GroupTooLargeError(
-            f"group too large: {order} elements on {degree} points exceed the "
+            f"group too large: at least {order} elements on {degree} points exceed the "
             f"{TABLE_BYTES_LIMIT >> 20} MiB element table limit")
     if order > DEFAULT_CAP:
         raise GroupTooLargeError(
@@ -977,25 +978,3 @@ def quotient_group(group: PermGroup, normal) -> PermGroup:
         raise ArithmeticError("coset action has the wrong order")  # pragma: no cover
     return quo
 
-
-# -- external interface: JSON group files ----------------------------------
-
-
-def group_to_json(degree: int, generators) -> str:
-    gens = [list(g.images if isinstance(g, Permutation) else g) for g in generators]
-    return json.dumps({"degree": degree, "generators": gens}, separators=(",", ":"))
-
-
-def group_from_json(text: str) -> PermGroup:
-    """The group of {"degree": n, "generators": [[images], ...]}; a malformed
-    field raises ValueError naming it.  type(x) is int excludes bool."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("group JSON must be an object with 'degree' and 'generators'")
-    degree, gens = obj.get("degree"), obj.get("generators")
-    if not (type(degree) is int and degree >= 0):
-        raise ValueError("'degree' must be a non-negative integer")
-    if not (isinstance(gens, list) and all(
-            isinstance(g, list) and all(type(x) is int and x >= 0 for x in g) for g in gens)):
-        raise ValueError("'generators' must be a list of lists of non-negative integers")
-    return enumerate_group(degree, [Permutation(g) for g in gens])

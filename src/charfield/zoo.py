@@ -3,14 +3,22 @@ group-spec grammar.
 
 Grammar (ASCII, case-sensitive, no whitespace):
 
-    spec := atom ("x" atom)*
-    atom := NAME NUM | NAME "(" NUM ("," NUM)* ")"
-    NAME := C | D | F | A | S | PSL | SL | Sz | Frob
+    spec  := atom ("x" atom)*
+    atom  := NAME NUM | NAME "(" NUM ("," NUM)* ")" | "<" perm ("," perm)* ">"
+    NAME  := C | D | F | A | S | PSL | SL | Sz | Frob
+    perm  := "()" | cycle cycle*
+    cycle := "(" NUM "," NUM ("," NUM)* ")"
 
 "F20", "F21", "F52" are sugar for the Frobenius groups Frob(5,4), Frob(7,3),
 Frob(13,4) (the subscript is the group order); any other "F n" is rejected
 as ambiguous.  "D n" follows the order convention: the dihedral group OF
 ORDER n, n even, n >= 6.
+
+"<...>" is the group generated by permutations in GAP's cycle notation, with
+disjoint cycles of points >= 1; the degree is the largest point (1 for
+"<()>").  The canonical form starts each cycle at its smallest point and
+sorts the cycles, but keeps the generators in order, as that fixes the
+element ids: "<(3,1,2),(5,4)(2,1)>" is "<(1,2,3),(1,2)(4,5)>".
 """
 
 from __future__ import annotations
@@ -82,6 +90,14 @@ def frobenius(p: int, k: int):
     trans = Permutation([(x + 1) % p for x in range(p)])
     mult = Permutation([a * x % p for x in range(p)])
     return p, [trans, mult]
+
+
+def from_cycles(*generators):
+    """A "<...>" spec's generators; check_size sees the identity row first."""
+    degree = max((p for gen in generators for cyc in gen for p in cyc), default=1)
+    check_size(1, degree, len(generators))
+    return degree, [_cycle_perm(degree, *(tuple(p - 1 for p in cyc) for cyc in gen))
+                    for gen in generators]
 
 
 def symmetric(n: int):
@@ -277,30 +293,30 @@ def _product_generators(factors):
 
 
 _FROBENIUS_SUGAR = {20: (5, 4), 21: (7, 3), 52: (13, 4)}
-_NAMES = ("Frob", "PSL", "SL", "Sz", "C", "D", "F", "A", "S")
-_ARITY = {"C": 1, "D": 1, "F": 1, "A": 1, "S": 1, "Sz": 1, "PSL": 2, "SL": 2, "Frob": 2}
+# the names in the order the parser tries them, each before its prefixes
+_ARITY = {"Frob": 2, "PSL": 2, "SL": 2, "Sz": 1, "C": 1, "D": 1, "F": 1, "A": 1, "S": 1}
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Parsed form of a group expression."""
+    """Parsed form of a group expression: a family's integer arguments, or
+    for kind "Cycles" the generators, each a tuple of canonical cycles."""
 
     kind: str
-    args: tuple[int, ...] = ()
+    args: tuple = ()
     factors: tuple["GroupSpec", ...] = ()
 
     def __str__(self) -> str:
         if self.kind == "Product":
             return "x".join(str(f) for f in self.factors)
-        if self.kind == "Frob":
-            order = self.args[0] * self.args[1]
-            if _FROBENIUS_SUGAR.get(order) == self.args:
-                return f"F{order}"
-            return f"Frob({self.args[0]},{self.args[1]})"
-        if self.kind in ("PSL", "SL"):
-            return f"{self.kind}({self.args[0]},{self.args[1]})"
-        if self.kind == "Sz":
-            return f"Sz({self.args[0]})"
+        if self.kind == "Cycles":
+            return "<" + ",".join(
+                "".join("(" + ",".join(map(str, cyc)) + ")" for cyc in gen) or "()"
+                for gen in self.args) + ">"
+        if self.kind == "Frob" and _FROBENIUS_SUGAR.get(self.args[0] * self.args[1]) == self.args:
+            return f"F{self.args[0] * self.args[1]}"
+        if self.kind in ("Frob", "PSL", "SL", "Sz"):
+            return f"{self.kind}({','.join(map(str, self.args))})"
         return f"{self.kind}{self.args[0]}"
 
 
@@ -308,48 +324,81 @@ def parse_spec(text: str) -> GroupSpec:
     """Parse the grammar above; syntax errors carry a position."""
     pos = 0
 
-    def error(msg):
-        raise SpecSyntaxError(msg, pos)
+    def error(msg, at=None):
+        raise SpecSyntaxError(msg, pos if at is None else at)
+
+    def expect(char):
+        nonlocal pos
+        if not text.startswith(char, pos):
+            error(f"expected '{char}'")
+        pos += 1
 
     def parse_num():
         nonlocal pos
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if start == pos:
             error("expected a number")
         return int(text[start:pos])
 
+    def parse_list():
+        # "(" NUM ("," NUM)* ")" as (position, number) pairs
+        nonlocal pos
+        expect("(")
+        nums = [(pos, parse_num())]
+        while text.startswith(",", pos):
+            pos += 1
+            nums.append((pos, parse_num()))
+        expect(")")
+        return nums
+
+    def parse_perm():
+        # "()" or disjoint cycles, each rotated to start at its smallest point
+        nonlocal pos
+        if text.startswith("()", pos):
+            pos += 2
+            return ()
+        cycles, seen = [], {0}
+        while not cycles or text.startswith("(", pos):
+            start, cyc = pos, parse_list()
+            for at, p in cyc:
+                if p in seen:
+                    error(f"point {p} is repeated in one generator" if p else
+                          "point 0: points start at 1", at)
+                seen.add(p)
+            if len(cyc) < 2:
+                error("a cycle needs at least two points", start)
+            cyc = [p for _, p in cyc]
+            i = cyc.index(min(cyc))
+            cycles.append(tuple(cyc[i:] + cyc[:i]))
+        return tuple(sorted(cycles))
+
     def parse_atom():
         nonlocal pos
-        for name in _NAMES:
+        if text.startswith("<", pos):
+            gens = []
+            while not gens or text.startswith(",", pos):
+                pos += 1
+                gens.append(parse_perm())
+            expect(">")
+            return GroupSpec("Cycles", tuple(gens))
+        for name in _ARITY:
             if text.startswith(name, pos):
                 pos += len(name)
                 break
         else:
-            error("expected a group name (C, D, F, A, S, PSL, SL, Sz, Frob)")
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            args = [parse_num()]
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                args.append(parse_num())
-            if pos >= len(text) or text[pos] != ")":
-                error("expected ')'")
-            pos += 1
-        else:
-            args = [parse_num()]
-        return _atom_spec(name, tuple(args))
+            error("expected a group name (C, D, F, A, S, PSL, SL, Sz, Frob) or '<'")
+        nums = parse_list() if text.startswith("(", pos) else [(pos, parse_num())]
+        return _atom_spec(name, tuple(n for _, n in nums))
 
     atoms = [parse_atom()]
-    while pos < len(text) and text[pos] == "x":
+    while text.startswith("x", pos):
         pos += 1
         atoms.append(parse_atom())
     if pos != len(text):
         error("unexpected trailing input")
-    if len(atoms) == 1:
-        return atoms[0]
-    return GroupSpec("Product", factors=tuple(atoms))
+    return atoms[0] if len(atoms) == 1 else GroupSpec("Product", factors=tuple(atoms))
 
 
 def _atom_spec(name: str, args: tuple[int, ...]) -> GroupSpec:
@@ -379,6 +428,7 @@ _FAMILIES = {
     "Frob": frobenius,
     "PSL": psl2,
     "SL": sl2,
+    "Cycles": from_cycles,
 }
 
 
@@ -391,12 +441,11 @@ def _generators(spec: GroupSpec):
 
 
 @functools.lru_cache(maxsize=None)
-def _build_cached(canonical: str) -> PermGroup:
-    return enumerate_group(*_generators(parse_spec(canonical)))
+def _build_cached(spec: GroupSpec) -> PermGroup:
+    return enumerate_group(*_generators(spec))
 
 
 def build(spec) -> PermGroup:
-    """Construct the group named by a GroupSpec or spec string (cached)."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    return _build_cached(str(spec))
+    """Construct the group named by a GroupSpec or spec string, cached by
+    its GroupSpec."""
+    return _build_cached(parse_spec(spec) if isinstance(spec, str) else spec)

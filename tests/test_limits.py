@@ -12,9 +12,9 @@ right-multiplication maps too, one |G|-long int32 array per generator, so
 a group with many repeated generators stops there as well.  A C, D or
 Frob spec past either limit must be refused from its order before a
 generator is built, even where one point list would not fit in memory or
-its length in a C ssize_t.  C2048 and
-C4096 pass both build limits, and the 64-class limit must refuse them with
-exit code 4.  Frob(181,3) and C61, small groups with many classes of
+its length in a C ssize_t, and a cycle spec from its identity row.  C2048
+and C4096 pass both build limits, and the 64-class limit must refuse them
+with exit code 4.  Frob(181,3) and C61, small groups with many classes of
 large element order, must run the whole pipeline, validation included.
 No element table is stored, so the widest group inside the limits,
 SL(2,32), must build its table in well under the 128 MiB its element
@@ -90,23 +90,25 @@ print(json.dumps({"A8' is A8": d8.element_ids == frozenset(range(a8.order)),
                   "|S9'|": d9.order, "|S9/S9'|": quotient_group(s9, d9).order}))
 """
 
-# a JSON group, read from stdin, has no spec to name it, so the child maps
-# the error to the CLI's construction exit code itself
-JSON_CHILD = CAPPED + """
-import sys
-from charfield.perm import GroupTooLargeError, group_from_json
-try:
-    print(group_from_json(sys.stdin.read()).order)
-except GroupTooLargeError as exc:
-    print(f"construction error: {exc}", file=sys.stderr)
-    sys.exit(3)
+# a spec's degree is its largest point, so no spec names a group with no
+# orbit on many points: this child enumerates one directly, and its error
+# goes uncaught to stderr
+NO_ORBIT_CHILD = CAPPED + """
+from charfield.perm import enumerate_group
+enumerate_group(10**9, [])
 """
 
 
-def run_capped(script, *args, stdin=None):
+def run_capped(script, *args):
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", script, *args], env=env, input=stdin,
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def cycle_spec(*gens):
+    """The cycle spec of generators given as lists of 1-based cycles."""
+    return "<" + ",".join("".join("(" + ",".join(map(str, c)) + ")" for c in g) or "()"
+                          for g in gens) + ">"
 
 
 @pytest.mark.parametrize("spec,k", [("C6xC6", 36), ("C7xC7", 49), ("C8xC8", 64)])
@@ -146,6 +148,9 @@ TABLE_DIGESTS = {
     ("D20000000000", 3, "element table limit"),
     ("Frob(100003,2)", 3, "element table limit"),  # inside the element cap
     ("Frob(2147483659,2)", 3, "element table limit"),
+    # a cycle spec's degree is its largest point, checked on the identity
+    # row before one image array is allocated
+    ("<(1,1000000000)>", 3, "at least 1 elements on 1000000000 points exceed"),
     # inside both build limits, but past the 64-class limit, which must
     # refuse them before any power map is walked
     ("C2048", 4, "2048 classes exceeds the supported maximum of 64"),
@@ -169,21 +174,23 @@ def test_widest_table_peaks_under_80_mib():
     assert int(done.stdout) < 80 * 1024
 
 
-def test_wide_json_group_stops_at_the_table_limit():
-    # a 20,000-cycle: 20,000 elements, but a 1.6 GB element table
-    n = 20000
-    group = {"degree": n, "generators": [[(i + 1) % n for i in range(n)]]}
-    done = run_capped(JSON_CHILD, stdin=json.dumps(group))
+def test_wide_cycle_spec_stops_at_the_table_limit():
+    # a 20,000-cycle: 20,000 elements, but a 1.6 GB element table; its spec,
+    # 108,897 bytes, fits in one command-line argument
+    spec = cycle_spec([range(1, 20001)])
+    assert len(spec) == 108897
+    done = run_capped(CLI_CHILD, "table", spec)
     assert done.returncode == 3, done.stderr
     assert "element table limit" in done.stderr
 
 
-def test_json_group_with_no_orbit_stops_at_the_table_limit():
+def test_group_with_no_orbit_stops_at_the_table_limit():
     # the trivial group on 10**9 points has no orbit to check, but its
     # identity row alone would take 4 GB
-    done = run_capped(JSON_CHILD, stdin=json.dumps({"degree": 10**9, "generators": []}))
-    assert done.returncode == 3, done.stderr
-    assert "1 elements on 1000000000 points exceed" in done.stderr
+    done = run_capped(NO_ORBIT_CHILD)
+    assert done.returncode == 1
+    assert ("GroupTooLargeError: group too large: at least 1 elements on 1000000000 points exceed"
+            in done.stderr)
 
 
 @pytest.mark.parametrize("copies,code", [(1, 0), (200, 3)])
@@ -191,14 +198,13 @@ def test_repeated_generators_count_against_the_table_limit(copies, code):
     # S9 on 9 points has a 13 MiB table, and each generator a 1.4 MiB
     # right-multiplication map: with the 9-cycle repeated 200 times the
     # maps take 290 MiB, past the limit
-    swap, nine_cycle = [1, 0, *range(2, 9)], [*range(1, 9), 0]
-    group = {"degree": 9, "generators": [swap] + [nine_cycle] * copies}
-    done = run_capped(JSON_CHILD, stdin=json.dumps(group))
+    spec = cycle_spec([(1, 2)], *[[range(1, 10)]] * copies)
+    done = run_capped(CLI_CHILD, "table", spec, "--format", "json")
     assert done.returncode == code, done.stderr
     if code:
         assert "362880 elements on 9 points exceed the 256 MiB element table limit" in done.stderr
     else:
-        assert done.stdout.split() == ["362880"]
+        assert json.loads(done.stdout)["order"] == 362880
 
 
 @pytest.mark.parametrize("spec,k", [("Frob(181,3)", 63), ("C61", 61)])

@@ -15,8 +15,6 @@ from charfield.perm import (
     derived_subgroup,
     element_order_spectrum,
     enumerate_group,
-    group_from_json,
-    group_to_json,
     power_map,
     quotient_group,
     schreier_sims,
@@ -326,26 +324,6 @@ def test_determinism():
     assert ca.reps == cb.reps and ca.sizes == cb.sizes
 
 
-def test_json_roundtrip():
-    text = group_to_json(5, A5.generators)
-    g = group_from_json(text)
-    assert g.order == 60
-    assert group_to_json(5, g.generators) == text
-
-
-@pytest.mark.parametrize("text, field", [
-    ('{"degree": -1, "generators": []}', "'degree'"),
-    ('{"degree": 2.5, "generators": []}', "'degree'"),
-    ('{"degree": 2, "generators": [[1.5, 0]]}', "'generators'"),
-    ('{"degree": 2, "generators": [[true, 0]]}', "'generators'"),
-    ('[2, [[1, 0]]]', "object"),
-], ids=["negative degree", "fractional degree", "fractional image", "bool image",
-        "top-level list"])
-def test_json_rejects_malformed_fields(text, field):
-    with pytest.raises(ValueError, match=field):
-        group_from_json(text)
-
-
 def full_row_closure(degree, gens):
     """Oracle: the breadth-first closure deduplicated by whole rows."""
     ident = np.arange(degree, dtype=np.int32)
@@ -524,7 +502,7 @@ def test_cap_stops_an_orbit_before_its_rows_are_stored(monkeypatch):
     assert schreier_sims(10, [cycle(10, tuple(range(10)))]).order == 10
 
 
-# and a JSON group that repeats a generator and has the identity among its
+# and a group that repeats a generator and has the identity among its
 # generators
 MAP_GROUPS = [*CHAIN_GROUPS, "C3xC2, repeated and identity generators"]
 
@@ -533,7 +511,7 @@ def map_group(spec):
     if spec.startswith("C3xC2"):
         c3 = cycle(6, (0, 1, 2))
         gens = [c3, Permutation.identity(6), c3, cycle(6, (3, 4))]
-        return group_from_json(group_to_json(6, gens))
+        return enumerate_group(6, gens)
     return chain_group(spec)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -172,6 +173,63 @@ def test_parse_syntax_errors_carry_position():
         parse_spec("PSL(2,)")
     with pytest.raises(SpecSyntaxError):
         parse_spec("C3 x C3")
+
+
+def test_cycle_spec_canonical_form():
+    spec = parse_spec("<(3,1,2),(5,4)(2,1),()>xC3")
+    assert str(spec) == "<(1,2,3),(1,2)(4,5),()>xC3"
+    assert spec == GroupSpec("Product", factors=(
+        GroupSpec("Cycles", (((1, 2, 3),), ((1, 2), (4, 5)), ())), GroupSpec("C", (3,))))
+    assert parse_spec(str(spec)) == spec
+    # the generators keep their order, and repeats, as they fix the element ids
+    assert str(parse_spec("<(1,2),(2,3,1),(1,2)>")) == "<(1,2),(1,2,3),(1,2)>"
+    # GAP's (1,2,3) sends 1 to 2, 2 to 3 and 3 to 1; points here are 0-based
+    assert [g.images for g in build("<(3,1,2),(5,4)(2,1),()>").generators] == [
+        (1, 2, 0, 3, 4), (1, 0, 2, 4, 3), (0, 1, 2, 3, 4)]
+    assert build("<(3,1,2),(5,4)(2,1),()>xC3").order == 18
+    assert build("<(1,2,3,4,5),(1,2,3)>").order == 60
+    trivial = build("<()>")
+    assert (trivial.order, trivial.degree) == (1, 1)
+
+
+@pytest.mark.parametrize("text,position,message", [
+    ("<(0,1)>", 2, "point 0"),
+    ("<(1,2,1)>", 6, "point 1 is repeated"),
+    ("<(1,2)(3,2)>", 9, "point 2 is repeated"),
+    ("<(1)>", 1, "at least two points"),
+    ("<(1,2)", 6, "expected '>'"),
+    ("<(1,2", 5, "expected ')'"),
+    ("<>", 1, "expected '('"),
+    ("<(1,2),>", 7, "expected '('"),
+    ("<(1,2)()>", 7, "expected a number"),
+    ("<(1.5,2)>", 3, "expected ')'"),
+    ("<(-1,2)>", 2, "expected a number"),
+    ("<(1,2)x(3,4)>", 6, "expected '>'"),
+    ("<(1,2)>>", 7, "unexpected trailing input"),
+    ("C\u00b2", 1, "expected a number"),  # a digit, but not an ASCII one
+])
+def test_cycle_spec_syntax_errors(text, position, message):
+    with pytest.raises(SpecSyntaxError, match=re.escape(message)) as e:
+        parse_spec(text)
+    assert e.value.position == position
+
+
+def test_cycle_spec_checks_its_size_before_building_a_generator(monkeypatch):
+    # 10**9 points would take a 4 GB identity row
+    def refused(*args):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(zoo, "_cycle_perm", refused)
+    with pytest.raises(GroupTooLargeError,
+                       match="at least 1 elements on 1000000000 points exceed"):
+        build("<(1,1000000000)>")
+
+
+def test_product_size_refusal_names_a_lower_bound():
+    # 3,000 factors C2 have 2^3000 elements; the bound checked stops at 2^20
+    with pytest.raises(GroupTooLargeError,
+                       match="at least 1048576 elements on 6000 points exceed the 256 MiB"):
+        build("x".join(["C2"] * 3000))
 
 
 def test_parse_semantic_errors():
