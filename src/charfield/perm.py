@@ -40,9 +40,12 @@ for wide groups: |G| * (degree + #generators) * 4 bytes, what an element
 table and the maps would take, passes the memory of a small machine well
 inside the element cap.  check_size applies both rules; the zoo's families
 whose order is known in closed form call it before building a generator,
-a cycle spec calls it on its identity row, and a direct product calls it on
-a lower bound of its order before building its own, so a spec past them
-stops before one point is allocated.
+a cycle spec calls it on 2 elements if a generator moves a point, and a
+direct product on a lower bound of its order before building its own, so a
+spec past them stops before one point is allocated.
+
+A Permutation is a read-only int32 row, the layout of every row above, so
+a generator is sifted and composed as it is, never converted.
 """
 
 from __future__ import annotations
@@ -93,23 +96,31 @@ def _point(x) -> int:
 
 
 class Permutation:
-    """A permutation of {0..degree-1}; images[i] is the image of point i."""
+    """A permutation of {0..degree-1}: images, a read-only int32 row like
+    every row a group stores, holds the image of each point.  An integer
+    ndarray is checked as a whole, any other sequence point by point under
+    _point's rule (a row of a 2-D array is not an integer)."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(map(_point, images))
+        if not (isinstance(images, np.ndarray) and images.ndim == 1
+                and images.dtype.kind in "iu"):
+            images = np.array([_point(x) for x in images], dtype=object)
         n = len(images)
-        seen = [False] * n
-        for x in images:
-            if not 0 <= x < n or seen[x]:
-                raise ValueError("images do not define a bijection")
-            seen[x] = True
-        self.images = images
+        if n and not (0 <= images.min() and images.max() < n):
+            raise ValueError("images do not define a bijection")
+        row = images.astype(np.int32)
+        hit = np.zeros(n, dtype=bool)
+        hit[row] = True
+        if not hit.all():
+            raise ValueError("images do not define a bijection")
+        row.flags.writeable = False
+        self.images = row
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree))
+        return Permutation(np.arange(degree, dtype=np.int32))
 
     @property
     def degree(self) -> int:
@@ -119,40 +130,30 @@ class Permutation:
         # function composition: (self * other)(i) = self(other(i))
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        im = self.images
-        return Permutation(im[j] for j in other.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
+        return Permutation(self.images.take(other.images))
 
     def inverse(self) -> "Permutation":
-        out = [0] * self.degree
-        for i, j in enumerate(self.images):
-            out[j] = i
-        return Permutation(out)
+        return Permutation(np.argsort(self.images))
 
     def cycles(self) -> list[list[int]]:
-        seen = [False] * self.degree
-        out = []
+        images, seen, out = self.images.tolist(), set(), []
         for s in range(self.degree):
-            if seen[s]:
-                continue
-            cyc, cur = [], s
-            while not seen[cur]:
-                seen[cur] = True
-                cyc.append(cur)
-                cur = self.images[cur]
-            out.append(cyc)
+            if s not in seen:
+                cyc = [s]
+                while images[cyc[-1]] != s:
+                    cyc.append(images[cyc[-1]])
+                seen.update(cyc)
+                out.append(cyc)
         return out
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
 
     def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
 
     def __hash__(self):
-        return hash(self.images)
+        return hash(self.images.tobytes())
 
     def __repr__(self):
         cyc = [c for c in self.cycles() if len(c) > 1]
@@ -245,24 +246,23 @@ class StabilizerChain:
 class _Level:
     """One level of a stabilizer chain under construction."""
 
-    def __init__(self, point: int, degree: int, check_orbit):
-        self.check_orbit = check_orbit   # check_orbit(level, m) before storing point m
-        self.ident = np.arange(degree, dtype=np.int32)
+    def __init__(self, point: int, ident: np.ndarray):
+        self.ident = ident             # the identity row, shared by the levels
         self.point = point
         self.gens: list[np.ndarray] = []
         self.checked: list[int] = []   # per generator: orbit positions done
         self.orbit = [point]
-        self.position = np.full(degree, -1, dtype=np.intp)
+        self.position = np.full(len(ident), -1, dtype=np.int32)
         self.position[point] = 0
-        self.fwd = [self.ident]        # u_c, which sends point to orbit[c]
-        self.inv = {0: self.ident}     # u_c^-1, for the c used so far
+        self.fwd = [ident]             # u_c, which sends point to orbit[c]
+        self.inv = {0: ident}          # u_c^-1, for the c used so far
         self.tree: set[tuple[int, int]] = set()  # (c, i): generator i found a point from orbit[c]
 
-    def add(self, s: np.ndarray) -> None:
+    def add(self, s: np.ndarray, check_orbit) -> None:
         """Add a generator and close the orbit under all of them.
 
-        check_orbit runs before each orbit point and its transversal row are
-        stored, so a group too large stops before its rows do.
+        check_orbit(level, m) runs before orbit point m and its transversal
+        row are stored, so a group too large stops before its rows do.
         """
         old = len(self.orbit)
         self.gens.append(s)
@@ -274,7 +274,7 @@ class _Level:
             for i in range(0 if c >= old else last, last + 1):
                 gamma = int(self.gens[i][beta])
                 if self.position[gamma] < 0:
-                    self.check_orbit(self, len(self.orbit) + 1)
+                    check_orbit(self, len(self.orbit) + 1)
                     self.position[gamma] = len(self.orbit)
                     self.orbit.append(gamma)
                     self.fwd.append(self.gens[i][self.fwd[c]])  # s * u_c
@@ -354,28 +354,8 @@ def schreier_sims(degree: int, generators) -> StabilizerChain:
 
     check_orbit(None, 1)  # the identity's row, which a group with no orbit has too
     ident = np.arange(degree, dtype=np.int32)
-
-    def insert(h: np.ndarray, lo: int) -> None:
-        j = lo
-        while j < len(levels):
-            c = levels[j].position[h[levels[j].point]]
-            if c < 0:
-                break
-            h = levels[j].inverse(int(c))[h]
-            j += 1
-        else:
-            moved = np.flatnonzero(h != ident)
-            if not len(moved):
-                return
-            levels.append(_Level(int(moved[0]), degree, check_orbit))
-        for level in levels[lo:j + 1]:
-            level.add(h)
-        for i in range(j, lo - 1, -1):
-            for y in levels[i].schreier_generators():
-                insert(y, i + 1)
-
     for g in generators:
-        insert(np.array(g.images, dtype=np.int32), 0)
+        _insert(levels, ident, check_orbit, g.images, 0)
     return StabilizerChain(
         degree=degree,
         base=tuple(level.point for level in levels),
@@ -385,6 +365,29 @@ def schreier_sims(degree: int, generators) -> StabilizerChain:
             np.array([level.inverse(c) for c in range(len(level.orbit))], dtype=np.int32)
             for level in levels[:-1]),
     )
+
+
+def _insert(levels: list[_Level], ident: np.ndarray, check_orbit, h: np.ndarray,
+            lo: int) -> None:
+    """Sift h from level lo and close the levels it joins (schreier_sims); not
+    a closure, whose recursion would be a reference cycle over every level."""
+    j = lo
+    while j < len(levels):
+        c = levels[j].position[h[levels[j].point]]
+        if c < 0:
+            break
+        h = levels[j].inverse(int(c))[h]
+        j += 1
+    else:
+        moved = np.flatnonzero(h != ident)
+        if not len(moved):
+            return
+        levels.append(_Level(int(moved[0]), ident))
+    for level in levels[lo:j + 1]:
+        level.add(h, check_orbit)
+    for i in range(j, lo - 1, -1):
+        for y in levels[i].schreier_generators():
+            _insert(levels, ident, check_orbit, y, i + 1)
 
 
 class PermGroup:
@@ -503,18 +506,16 @@ class PermGroup:
         return letters[::-1]
 
     def element(self, i: int) -> Permutation:
-        p = Permutation.__new__(Permutation)
-        p.images = tuple(self._rows([self._id(i)])[0].tolist())
-        return p
+        return Permutation(self._rows([self._id(i)])[0])
 
     def _find(self, perm: Permutation) -> int:
         if perm.degree != self.degree:
             return -1
         try:
-            i = int(self.ids_of_base_images([[perm.images[b] for b in self.base]])[0])
+            i = int(self.ids_of_base_images([perm.images[list(self.base)]])[0])
         except KeyError:
             return -1
-        return i if self.element(i) == perm else -1
+        return i if np.array_equal(self._rows([i])[0], perm.images) else -1
 
     def id_of(self, perm: Permutation) -> int:
         i = self._find(perm)
@@ -664,8 +665,8 @@ def _closure(chain: StabilizerChain, f0: np.ndarray, t1: np.ndarray,
     if gens:
         # the distinct points g_i(b_j), and where[i][j] the index of g_i(b_j)
         # among them
-        points, where = np.unique(np.array([g.images[b] for g in gens for b in chain.base],
-                                           dtype=np.intp), return_inverse=True)
+        points, where = np.unique(np.stack([g.images[list(chain.base)] for g in gens]),
+                                  return_inverse=True)
         points, where = points.tolist(), where.reshape(n_gens, k)
         while lo < count:
             # at[q][x] = x(points[q]) for the frontier's x, one point at a time
@@ -972,7 +973,7 @@ def quotient_group(group: PermGroup, normal) -> PermGroup:
     if lab[_conjugation_maps(group)[:, members]].any():
         raise ValueError("subgroup is not normal")
     reps, coset_of = _orbit_index(lab)
-    gens = [Permutation(coset_of[row[reps]].tolist()) for row in group.right]
+    gens = [Permutation(coset_of[row[reps]]) for row in group.right]
     quo = enumerate_group(len(reps), gens)
     if quo.order * order != group.order:
         raise ArithmeticError("coset action has the wrong order")  # pragma: no cover

@@ -53,10 +53,13 @@ class SpecSemanticError(ValueError):
 
 
 def _cycle_perm(degree: int, *cycles) -> Permutation:
-    images = list(range(degree))
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            images[a] = b
+    """The permutation of range(degree) with the given disjoint cycles; a
+    negative point is refused, where numpy would wrap it round to the end."""
+    images = np.arange(degree, dtype=np.int32)
+    for cyc in map(np.asarray, cycles):
+        if cyc.min() < 0:
+            raise ValueError("images do not define a bijection")
+        images[cyc] = np.roll(cyc, -1)
     return Permutation(images)
 
 
@@ -64,16 +67,16 @@ def cyclic(n: int):
     if n < 1:
         raise SpecSemanticError("cyclic group needs n >= 1")
     check_size(n, n, 1)
-    return n, [_cycle_perm(n, tuple(range(n)))]
+    return n, [_cycle_perm(n, range(n))]
 
 
 def dihedral(n: int):
-    """Dihedral group of order n (order convention); _atom_spec has checked
+    """Dihedral group of order n (order convention); GroupSpec has checked
     that n is even and >= 6."""
     m = n // 2
     check_size(n, m, 2)
-    rot = _cycle_perm(m, tuple(range(m)))
-    refl = Permutation([(m - i) % m for i in range(m)])
+    rot = _cycle_perm(m, range(m))
+    refl = Permutation(-np.arange(m) % m)
     return m, [rot, refl]
 
 
@@ -87,16 +90,14 @@ def frobenius(p: int, k: int):
     # (Z/p)* is cyclic, so its elements of order k are theta^j, gcd(j, k) = 1
     theta = element_of_order(k, p)
     a = min(pow(theta, j, p) for j in units(k))
-    trans = Permutation([(x + 1) % p for x in range(p)])
-    mult = Permutation([a * x % p for x in range(p)])
-    return p, [trans, mult]
+    return p, [_cycle_perm(p, range(p)), Permutation(a * np.arange(p) % p)]
 
 
 def from_cycles(*generators):
-    """A "<...>" spec's generators; check_size sees the identity row first."""
+    """A "<...>" spec's generators, checked first on 2 elements if one moves a point."""
     degree = max((p for gen in generators for cyc in gen for p in cyc), default=1)
-    check_size(1, degree, len(generators))
-    return degree, [_cycle_perm(degree, *(tuple(p - 1 for p in cyc) for cyc in gen))
+    check_size(2 if any(generators) else 1, degree, len(generators))
+    return degree, [_cycle_perm(degree, *(np.subtract(cyc, 1) for cyc in gen))
                     for gen in generators]
 
 
@@ -105,7 +106,7 @@ def symmetric(n: int):
         raise SpecSemanticError("S n is supported for 2 <= n <= 9")
     gens = [_cycle_perm(n, (0, 1))]
     if n > 2:
-        gens.append(_cycle_perm(n, tuple(range(n))))
+        gens.append(_cycle_perm(n, range(n)))
     return n, gens
 
 
@@ -116,10 +117,8 @@ def alternating(n: int):
         return 2, []
     if n == 3:
         return 3, [_cycle_perm(3, (0, 1, 2))]
-    if n % 2:
-        long = _cycle_perm(n, tuple(range(n)))
-    else:
-        long = _cycle_perm(n, tuple(range(1, n)))
+    # an n-cycle is even for odd n; for even n the (n-1)-cycle fixing 0 is
+    long = _cycle_perm(n, range(1 - n % 2, n))
     return n, [long, _cycle_perm(n, (0, 1, 2))]
 
 
@@ -176,7 +175,7 @@ def _point_action(F, mats, points, projective=False):
         images = _mat_apply(F, mat, points)
         if projective:
             images = _projective(F, images)
-        perms.append(Permutation(where[images @ place].tolist()))
+        perms.append(Permutation(where[images @ place]))
     return len(points), perms
 
 
@@ -273,17 +272,15 @@ def _product_generators(factors):
     # a factor with a non-identity generator has at least 2 elements, so the
     # product has at least 2^moving: refuse it before a generator is built.
     # 2^bit_length(DEFAULT_CAP) already passes the cap, so the bound stops there
-    moving = sum(any(i != x for g in gens for i, x in enumerate(g.images))
-                 for _, gens in factors)
+    moving = sum(any((g.images != np.arange(d)).any() for g in gens) for d, gens in factors)
     check_size(2 ** min(moving, DEFAULT_CAP.bit_length()), degree,
                sum(len(gens) for _, gens in factors))
     gens = []
     offset = 0
     for d, factor_gens in factors:
         for gen in factor_gens:
-            images = list(range(degree))
-            for i, j in enumerate(gen.images):
-                images[offset + i] = offset + j
+            images = np.arange(degree, dtype=np.int32)
+            images[offset:offset + d] = gen.images + offset
             gens.append(Permutation(images))
         offset += d
     return degree, gens
@@ -305,6 +302,24 @@ class GroupSpec:
     kind: str
     args: tuple = ()
     factors: tuple["GroupSpec", ...] = ()
+
+    def __post_init__(self):
+        """Refuse a spec that build could not construct as named; parse_spec
+        meets a generator's faults first, as syntax errors at a position."""
+        kind, args = self.kind, self.args
+        if kind in _ARITY and len(args) != _ARITY[kind]:
+            raise SpecSemanticError(f"{kind} takes {_ARITY[kind]} argument(s), got {len(args)}")
+        if kind not in _FAMILIES and kind != "Product":
+            raise SpecSemanticError(f"unknown group kind {kind!r}")
+        if kind == "D" and (args[0] % 2 or args[0] < 6):
+            raise SpecSemanticError(
+                f"D{args[0]}: the subscript is the group order, so n must be even and >= 6")
+        if kind in ("PSL", "SL") and args[0] != 2:
+            raise SpecSemanticError(f"only {kind}(2,q) is supported")
+        for gen in args if kind == "Cycles" else ():
+            points = [p for cyc in gen for p in cyc]
+            if min(points, default=1) < 1 or len(set(points)) < len(points):
+                raise SpecSemanticError(f"generator {gen}: points must be distinct and >= 1")
 
     def __str__(self) -> str:
         if self.kind == "Product":
@@ -402,34 +417,18 @@ def parse_spec(text: str) -> GroupSpec:
 
 
 def _atom_spec(name: str, args: tuple[int, ...]) -> GroupSpec:
-    if len(args) != _ARITY[name]:
-        raise SpecSemanticError(f"{name} takes {_ARITY[name]} argument(s), got {len(args)}")
-    if name == "F":
-        pk = _FROBENIUS_SUGAR.get(args[0])
-        if pk is None:
+    """A family atom's spec, with "F n" read as the Frobenius group it names;
+    GroupSpec checks the rest."""
+    if name == "F" and len(args) == 1:
+        if args[0] not in _FROBENIUS_SUGAR:
             raise SpecSemanticError(
                 f"F{args[0]} is ambiguous; use the explicit form Frob(p,k)")
-        return GroupSpec("Frob", pk)
-    if name == "D" and (args[0] % 2 or args[0] < 6):
-        raise SpecSemanticError(
-            f"D{args[0]}: the subscript is the group order, so n must be even and >= 6")
-    if name == "PSL" or name == "SL":
-        if args[0] != 2:
-            raise SpecSemanticError(f"only {name}(2,q) is supported")
+        return GroupSpec("Frob", _FROBENIUS_SUGAR[args[0]])
     return GroupSpec(name, args)
 
 
-_FAMILIES = {
-    "C": cyclic,
-    "D": dihedral,
-    "A": alternating,
-    "S": symmetric,
-    "Sz": sz,
-    "Frob": frobenius,
-    "PSL": psl2,
-    "SL": sl2,
-    "Cycles": from_cycles,
-}
+_FAMILIES = {"C": cyclic, "D": dihedral, "A": alternating, "S": symmetric, "Sz": sz,
+             "Frob": frobenius, "PSL": psl2, "SL": sl2, "Cycles": from_cycles}
 
 
 def _generators(spec: GroupSpec):

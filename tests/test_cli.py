@@ -69,8 +69,8 @@ def cycle_notation(perm):
         if start in seen:
             continue
         cyc = [start]
-        while perm(cyc[-1]) != start:
-            cyc.append(perm(cyc[-1]))
+        while perm.images[cyc[-1]] != start:
+            cyc.append(int(perm.images[cyc[-1]]))
         seen.update(cyc)
         if len(cyc) > 1:
             cycles.append("(" + ",".join(str(p + 1) for p in cyc) + ")")

@@ -12,7 +12,9 @@ right-multiplication maps too, one |G|-long int32 array per generator, so
 a group with many repeated generators stops there as well.  A C, D or
 Frob spec past either limit must be refused from its order before a
 generator is built, even where one point list would not fit in memory or
-its length in a C ssize_t, and a cycle spec from its identity row.  C2048
+its length in a C ssize_t, and a cycle spec from 2 elements, or from its
+identity row if no generator moves a point.  The widest transposition the
+table limit admits, on 2^25 - 1 points, must build its table.  C2048
 and C4096 pass both build limits, and the 64-class limit must refuse them
 with exit code 4.  Frob(181,3) and C61, small groups with many classes of
 large element order, must run the whole pipeline, validation included.
@@ -148,9 +150,9 @@ TABLE_DIGESTS = {
     ("D20000000000", 3, "element table limit"),
     ("Frob(100003,2)", 3, "element table limit"),  # inside the element cap
     ("Frob(2147483659,2)", 3, "element table limit"),
-    # a cycle spec's degree is its largest point, checked on the identity
-    # row before one image array is allocated
-    ("<(1,1000000000)>", 3, "at least 1 elements on 1000000000 points exceed"),
+    # a cycle spec's degree is its largest point, checked on 2 elements
+    # before one image array is allocated
+    ("<(1,1000000000)>", 3, "at least 2 elements on 1000000000 points exceed"),
     # inside both build limits, but past the 64-class limit, which must
     # refuse them before any power map is walked
     ("C2048", 4, "2048 classes exceeds the supported maximum of 64"),
@@ -182,6 +184,19 @@ def test_wide_cycle_spec_stops_at_the_table_limit():
     done = run_capped(CLI_CHILD, "table", spec)
     assert done.returncode == 3, done.stderr
     assert "element table limit" in done.stderr
+
+
+@pytest.mark.parametrize("degree,code", [(2**25 - 1, 0), (2**25, 3)])
+def test_widest_transposition_at_the_table_limit(degree, code):
+    # C2 on 2^25 - 1 points takes 2 * 2^25 * 4 bytes, the limit exactly; one
+    # point more is refused from the spec, before an image array exists
+    done = run_capped(CLI_CHILD, "table", f"<(1,{degree})>", "--format", "json")
+    assert done.returncode == code, done.stderr
+    if code:
+        assert f"at least 2 elements on {degree} points exceed" in done.stderr
+    else:
+        c2 = run_capped(CLI_CHILD, "table", "C2", "--format", "json")
+        assert done.stdout.replace(f'"<(1,{degree})>"', '"C2"') == c2.stdout
 
 
 def test_group_with_no_orbit_stops_at_the_table_limit():

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import random
@@ -67,7 +68,59 @@ def test_non_integer_images_rejected(images):
 def test_numpy_integer_images_accepted():
     for dtype in (np.int32, np.int64, np.uint8):
         p = Permutation(np.array([1, 2, 0], dtype=dtype))
-        assert p.images == (1, 2, 0) and all(type(x) is int for x in p.images)
+        assert p.images.tolist() == [1, 2, 0] and p.images.dtype == np.int32
+
+
+def test_images_are_a_read_only_int32_row():
+    # every way a permutation is made gives the one representation, which
+    # no caller can change under a group that holds it
+    s4 = build("S4")
+    x, y = s4.element(5), s4.element(7)
+    perms = {
+        "family": s4.generators[0],
+        "product": build("S3xC2").generators[1],
+        "cycle spec": build("<(1,2,3),(4,5)>").generators[1],
+        "element": x,
+        "*": x * y,
+        "inverse": x.inverse(),
+        "quotient": quotient_group(s4, derived_subgroup(s4)).generators[0],
+    }
+    for name, p in perms.items():
+        assert p.images.dtype == np.int32 and p.images.ndim == 1, name
+        with pytest.raises(ValueError, match="read-only"):
+            p.images[0] = 0
+    assert (x * x.inverse()).images.tolist() == list(range(4))
+    assert (x * y).images.tolist() == x.images[y.images].tolist()
+    # the constructor copies an array it is given
+    row = np.array([1, 0, 2])
+    p = Permutation(row)
+    row[:] = 0
+    assert p.images.tolist() == [1, 0, 2]
+
+
+@pytest.mark.parametrize("images,message", [
+    (np.array([[1, 0]]), "is not an integer"),  # a 2-D array, read row by row
+    (np.array([0, 2**32 + 1]), "bijection"),     # past int32 before the cast
+    (np.array([0, -1]), "bijection"),
+    (np.array([0, 0], dtype=np.uint8), "bijection"),
+    ([0, 2**70], "bijection"),
+])
+def test_integer_arrays_are_checked_as_a_whole(images, message):
+    with pytest.raises(ValueError, match=message):
+        Permutation(images)
+
+
+def test_schreier_sims_frees_its_levels():
+    # no level holds the orbit check, and no closure refers to itself, so
+    # the levels and their rows go when schreier_sims returns, not at the
+    # next cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        assert schreier_sims(5, A5.generators).order == 60
+        assert not any(isinstance(o, perm._Level) for o in gc.get_objects())
+    finally:
+        gc.enable()
 
 
 def test_cap_enforced(monkeypatch):
@@ -151,11 +204,11 @@ def test_classes_against_brute_force_orbits(spec):
     g = build(spec)
     cd = conjugacy_classes(g)
     elements = [g.element(i) for i in range(g.order)]
-    ids = {x.images: i for i, x in enumerate(elements)}
+    ids = {x: i for i, x in enumerate(elements)}
     pairs = [(y.inverse(), y) for y in elements]
     for c in range(cd.k):
         x = elements[cd.reps[c]]
-        orbit = {ids[(yinv * x * y).images] for yinv, y in pairs}
+        orbit = {ids[yinv * x * y] for yinv, y in pairs}
         assert min(orbit) == cd.reps[c]
         assert len(orbit) == cd.sizes[c]
         assert {int(i) for i in np.flatnonzero(cd.class_of == c)} == orbit
@@ -309,10 +362,10 @@ def test_rows_of_checks_id_arrays():
                          (np.array([0, 1], dtype=bool), "element id .*False.* is not an integer")):
         with pytest.raises(ValueError, match=message):
             g.rows_of(ids)
-    want = [g.element(z).images for z in (0, 5, 2)]
+    want = [g.element(z).images.tolist() for z in (0, 5, 2)]
     for ids in ([0, 5, 2], [np.int64(0), 5, np.uint8(2)], np.array([0, 5, 2], dtype=np.int32),
                 np.array([0, 5, 2], dtype=np.uint16)):
-        assert [tuple(row) for row in g.rows_of(ids).tolist()] == want
+        assert g.rows_of(ids).tolist() == want
     assert g.rows_of([]).shape == (0, 3)
 
 
@@ -421,10 +474,10 @@ def test_chain_missing_a_strong_generator_is_rejected(spec, monkeypatch):
     g = build(spec)
     add, calls = perm._Level.add, []
 
-    def add_all_but_the_second(level, s):
+    def add_all_but_the_second(level, s, check_orbit):
         calls.append(s)
         if len(calls) != 2:
-            add(level, s)
+            add(level, s, check_orbit)
 
     monkeypatch.setattr(perm._Level, "add", add_all_but_the_second)
     with pytest.raises(ArithmeticError):

@@ -71,9 +71,9 @@ def test_frobenius_multiplier_is_the_least_of_order_k():
     assert len(pairs) == 611
     for p, k in pairs:
         degree, (trans, mult) = frobenius(p, k)
-        assert degree == p and trans.images == tuple((x + 1) % p for x in range(p))
+        assert degree == p and trans.images.tolist() == [(x + 1) % p for x in range(p)]
         a = next(a for a in range(2, p) if order(a, p) == k)
-        assert mult.images == tuple(a * x % p for x in range(p)), (p, k)
+        assert mult.images.tolist() == [a * x % p for x in range(p)], (p, k)
 
 
 def test_frobenius_abelianization():
@@ -184,8 +184,8 @@ def test_cycle_spec_canonical_form():
     # the generators keep their order, and repeats, as they fix the element ids
     assert str(parse_spec("<(1,2),(2,3,1),(1,2)>")) == "<(1,2),(1,2,3),(1,2)>"
     # GAP's (1,2,3) sends 1 to 2, 2 to 3 and 3 to 1; points here are 0-based
-    assert [g.images for g in build("<(3,1,2),(5,4)(2,1),()>").generators] == [
-        (1, 2, 0, 3, 4), (1, 0, 2, 4, 3), (0, 1, 2, 3, 4)]
+    assert [g.images.tolist() for g in build("<(3,1,2),(5,4)(2,1),()>").generators] == [
+        [1, 2, 0, 3, 4], [1, 0, 2, 4, 3], [0, 1, 2, 3, 4]]
     assert build("<(3,1,2),(5,4)(2,1),()>xC3").order == 18
     assert build("<(1,2,3,4,5),(1,2,3)>").order == 60
     trivial = build("<()>")
@@ -215,14 +215,48 @@ def test_cycle_spec_syntax_errors(text, position, message):
 
 
 def test_cycle_spec_checks_its_size_before_building_a_generator(monkeypatch):
-    # 10**9 points would take a 4 GB identity row
+    # a generator that moves a point makes at least 2 elements: 10**9 points
+    # would take a 4 GB identity row, and 2^25 points are one past the
+    # widest transposition the table limit admits
     def refused(*args):
         raise AssertionError("a generator was built")
 
     monkeypatch.setattr(zoo, "_cycle_perm", refused)
-    with pytest.raises(GroupTooLargeError,
-                       match="at least 1 elements on 1000000000 points exceed"):
-        build("<(1,1000000000)>")
+    for degree in (10**9, 2**25):
+        with pytest.raises(GroupTooLargeError,
+                           match=f"at least 2 elements on {degree} points exceed"):
+            build(f"<(1,{degree})>")
+
+
+@pytest.mark.parametrize("kind,args,message", [
+    ("Frob", (7,), "Frob takes 2 argument"),
+    ("C", (3, 4), "C takes 1 argument"),
+    ("D", (9,), "n must be even"),
+    ("D", (4,), "n must be even and >= 6"),
+    ("PSL", (3, 8), "only PSL\\(2,q\\)"),
+    ("SL", (5, 7), "only SL\\(2,q\\)"),
+    ("G", (2,), "unknown group kind 'G'"),
+    ("F", (20,), "unknown group kind 'F'"),  # sugar that only the parser reads
+    ("Cycles", (((0, 2),),), "points must be distinct and >= 1"),
+    ("Cycles", (((1, 2),), ((1, 2), (3, 2))), "points must be distinct"),
+])
+def test_hand_made_spec_checks_itself(monkeypatch, kind, args, message):
+    # the spec refuses itself, so build never starts
+    def refused(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(zoo, "_cycle_perm", refused)
+    monkeypatch.setattr(zoo, "enumerate_group", refused)
+    with pytest.raises(SpecSemanticError, match=message):
+        build(GroupSpec(kind, args))
+
+
+def test_cycle_perm_refuses_a_negative_point():
+    # numpy would wrap -1 round to the last point: (2,-1) on 3 points would
+    # be the identity, and (-1,1) would map two points to 1
+    for cycle in ((2, -1), (-1, 1)):
+        with pytest.raises(ValueError, match="bijection"):
+            zoo._cycle_perm(3, cycle)
 
 
 def test_product_size_refusal_names_a_lower_bound():
@@ -325,7 +359,7 @@ GENERATOR_DIGESTS = {
 
 
 def _generator_digest(degree, perms):
-    text = json.dumps([degree, [list(g.images) for g in perms]], separators=(",", ":"))
+    text = json.dumps([degree, [g.images.tolist() for g in perms]], separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
