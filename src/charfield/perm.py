@@ -186,7 +186,9 @@ class StabilizerChain:
     identity.  |G| is the product of the orbit lengths (Lagrange, level by
     level, with G^(k) trivial), and every x in G sifts to positions
     (c_0, ..., c_{k-1}): c_i is where the image of b_i, after the sifts
-    above, sits in Delta_i.
+    above, sits in Delta_i.  positions[i][p] is the index of p in Delta_i,
+    or -1: the rows schreier_sims kept while it built the orbits, which
+    dataclasses.replace hands on as they are.
     """
 
     degree: int
@@ -194,16 +196,7 @@ class StabilizerChain:
     orbits: tuple[np.ndarray, ...]
     transversals: tuple[np.ndarray, ...]      # |Delta_i| x degree int32 each
     inv_transversals: tuple[np.ndarray, ...]  # the same, i < k - 1
-    positions: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # positions[i][p] is the index of p in Delta_i, or -1
-        positions = []
-        for orbit in self.orbits:
-            position = np.full(self.degree, -1, dtype=np.int32)
-            position[orbit] = np.arange(len(orbit))
-            positions.append(position)
-        object.__setattr__(self, "positions", tuple(positions))
+    positions: tuple[np.ndarray, ...] = field(repr=False)  # degree int32 each
 
     @property
     def order(self) -> int:
@@ -258,11 +251,11 @@ class _Level:
         self.inv = {0: ident}          # u_c^-1, for the c used so far
         self.tree: set[tuple[int, int]] = set()  # (c, i): generator i found a point from orbit[c]
 
-    def add(self, s: np.ndarray, check_orbit) -> None:
+    def add(self, s: np.ndarray, bound: _OrderBound) -> None:
         """Add a generator and close the orbit under all of them.
 
-        check_orbit(level, m) runs before orbit point m and its transversal
-        row are stored, so a group too large stops before its rows do.
+        bound.grow runs before each new orbit point and its transversal row
+        are stored, so a group too large stops before its rows do.
         """
         old = len(self.orbit)
         self.gens.append(s)
@@ -274,7 +267,7 @@ class _Level:
             for i in range(0 if c >= old else last, last + 1):
                 gamma = int(self.gens[i][beta])
                 if self.position[gamma] < 0:
-                    check_orbit(self, len(self.orbit) + 1)
+                    bound.grow(len(self.orbit))
                     self.position[gamma] = len(self.orbit)
                     self.orbit.append(gamma)
                     self.fwd.append(self.gens[i][self.fwd[c]])  # s * u_c
@@ -302,7 +295,30 @@ class _Level:
                 yield self.inverse(int(self.position[s[self.orbit[c]]]))[s[self.fwd[c]]]
 
 
-def schreier_sims(degree: int, generators) -> StabilizerChain:
+class _OrderBound:
+    """What schreier_sims knows of |G|: found, the product of the orbit
+    lengths so far, a lower bound that check_size tests before each new
+    orbit point is stored, and known, the order given in closed form, or
+    None."""
+
+    def __init__(self, degree: int, n_generators: int, known: int | None):
+        self.degree, self.n_generators, self.known = degree, n_generators, known
+        self.found = 1
+        # the identity's row, which a group with no orbit has too
+        check_size(1, degree, n_generators)
+
+    def grow(self, m: int) -> None:
+        """An orbit of m points is about to gain one."""
+        found = self.found // m * (m + 1)
+        check_size(found, self.degree, self.n_generators)
+        self.found = found
+
+    @property
+    def reached(self) -> bool:
+        return self.found == self.known
+
+
+def schreier_sims(degree: int, generators, order: int | None = None) -> StabilizerChain:
     """Deterministic Schreier-Sims (Sims 1970; Seress 2003, ch. 4).
 
     Level i keeps generators S_i, all in G^(i), and the orbit Delta_i of b_i
@@ -335,27 +351,42 @@ def schreier_sims(degree: int, generators) -> StabilizerChain:
 
     Meanwhile every orbit found so far, even one still being closed, lies
     in the final Delta_i, of length [G^(i) : G^(i+1)], so the product of
-    their lengths bounds |G| from below.  check_size tests it before each
-    new orbit point is stored, so GroupTooLargeError is raised as soon as
-    |G| * (degree + #generators) * 4 bytes, the size of an element table
-    and its right-multiplication maps, passes TABLE_BYTES_LIMIT or the bound
-    passes DEFAULT_CAP; each of the two transversals, at most
-    prod |Delta_i| + k rows, stays within the same limit.  A level stores
-    the forward transversal, and inverts a row on first use; at the end the
-    inverse transversals of all levels but the last are completed.
+    their lengths bounds |G| from below.  One running product of the orbit
+    lengths (_OrderBound) serves both the size check and the stop below.
+    check_size tests it before each new orbit point is stored, so
+    GroupTooLargeError is raised as soon as |G| * (degree + #generators) * 4
+    bytes, the size of an element table and its right-multiplication maps,
+    passes TABLE_BYTES_LIMIT or the bound passes DEFAULT_CAP; each of the
+    two transversals, at most prod |Delta_i| + k rows, stays within the
+    same limit.  A level stores the forward transversal, and inverts a row
+    on first use; at the end the inverse transversals of all levels but
+    the last are completed.
+
+    Known order (Seress 2003, ch. 4): given order = |G|, no Schreier
+    generator is sifted once the product of the orbit lengths equals it.
+    This is exact.  Each partial orbit Delta_i lies in its true basic
+    orbit, as S_i lies in G^(i), so prod |Delta_i| <= [G : G^(m)] <= |G|
+    for the current base length m.  Equality forces every Delta_i to be
+    the whole basic orbit and G^(m) = 1, so every element of G already
+    sifts to the identity through the transversals held.  After that no
+    Schreier generator adds an orbit point or a level, and transversal rows
+    never change, so the base, orbits, transversals and inverse
+    transversals are byte for byte those of a full run.  ArithmeticError is
+    raised if the finished chain's order is not the given one.  An
+    overstated order never triggers the stop, so the full run reaches the
+    true order and the mismatch shows.  An understated order cannot be
+    caught here: the run may stop at an incomplete chain whose product is
+    that order.  tests/test_perm.py guards the zoo's formulas against this
+    by comparing every family member's chain with the full run's.
     """
     generators = list(generators)
     levels: list[_Level] = []
-
-    def check_orbit(level: _Level, m: int) -> None:
-        # the level's orbit is about to hold m points
-        order = m * math.prod(len(other.orbit) for other in levels if other is not level)
-        check_size(order, degree, len(generators))
-
-    check_orbit(None, 1)  # the identity's row, which a group with no orbit has too
+    bound = _OrderBound(degree, len(generators), order)
     ident = np.arange(degree, dtype=np.int32)
     for g in generators:
-        _insert(levels, ident, check_orbit, g.images, 0)
+        _insert(levels, ident, bound, g.images, 0)
+    if order is not None and bound.found != order:
+        raise ArithmeticError(f"the chain's order is {bound.found}, not the given {order}")
     return StabilizerChain(
         degree=degree,
         base=tuple(level.point for level in levels),
@@ -364,13 +395,15 @@ def schreier_sims(degree: int, generators) -> StabilizerChain:
         inv_transversals=tuple(
             np.array([level.inverse(c) for c in range(len(level.orbit))], dtype=np.int32)
             for level in levels[:-1]),
+        positions=tuple(level.position for level in levels),
     )
 
 
-def _insert(levels: list[_Level], ident: np.ndarray, check_orbit, h: np.ndarray,
+def _insert(levels: list[_Level], ident: np.ndarray, bound: _OrderBound, h: np.ndarray,
             lo: int) -> None:
-    """Sift h from level lo and close the levels it joins (schreier_sims); not
-    a closure, whose recursion would be a reference cycle over every level."""
+    """Sift h from level lo and close the levels it joins, until bound is
+    reached (schreier_sims); not a closure, whose recursion would be a
+    reference cycle over every level."""
     j = lo
     while j < len(levels):
         c = levels[j].position[h[levels[j].point]]
@@ -384,10 +417,12 @@ def _insert(levels: list[_Level], ident: np.ndarray, check_orbit, h: np.ndarray,
             return
         levels.append(_Level(int(moved[0]), ident))
     for level in levels[lo:j + 1]:
-        level.add(h, check_orbit)
+        level.add(h, bound)
     for i in range(j, lo - 1, -1):
         for y in levels[i].schreier_generators():
-            _insert(levels, ident, check_orbit, y, i + 1)
+            if bound.reached:
+                return
+            _insert(levels, ident, bound, y, i + 1)
 
 
 class PermGroup:
@@ -573,22 +608,22 @@ class PermGroup:
                 stack.extend((c, xz) for c in children.get(z, ()))
 
 
-def enumerate_group(degree: int, generators) -> PermGroup:
+def enumerate_group(degree: int, generators, *, order: int | None = None) -> PermGroup:
     """The group <generators>, its elements in breadth-first order from the
     identity.
 
-    A stabilizer chain (schreier_sims) comes first: it gives |G| and a base
-    before any element is stored, and a group past check_size's limits
-    stops there.  F_0 and T_1 are read off its forward transversals
-    (_factor_tables).  Then the breadth-first closure runs, applying the
-    generators in the given order to each element of the frontier in turn
-    (x-major); see _closure.
+    A stabilizer chain (schreier_sims, which stops sifting at order if it
+    is given) comes first: it gives |G| and a base before any element is
+    stored, and a group past check_size's limits stops there.  F_0 and T_1
+    are read off its forward transversals (_factor_tables).  Then the
+    breadth-first closure runs, applying the generators in the given order
+    to each element of the frontier in turn (x-major); see _closure.
     """
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     for g in gens:
         if g.degree != degree:
             raise ValueError("generator degree mismatch")
-    chain = schreier_sims(degree, gens)
+    chain = schreier_sims(degree, gens, order)
     f0, t1 = _factor_tables(chain)
     # F_0 and T_1 hold all that rows_of reads of the forward transversals
     chain = replace(chain, transversals=())

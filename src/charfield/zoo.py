@@ -24,6 +24,7 @@ element ids: "<(3,1,2),(5,4)(2,1)>" is "<(1,2,3),(1,2)(4,5)>".
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,11 @@ class SpecSemanticError(ValueError):
 
 # -- constructors -----------------------------------------------------------
 #
-# Each family returns (degree, generators), and build is the one way from a
-# spec to a group: it enumerates them, so a direct product is built from its
-# factors' generators alone.
+# Each family returns (degree, generators, order), with order |G| in closed
+# form, or None for a cycle spec, and build is the one way from a spec to a
+# group: it enumerates the generators, so a direct product is built from its
+# factors' generators alone, and its stabilizer chain stops sifting once it
+# reaches the order (perm.schreier_sims).
 
 
 def _cycle_perm(degree: int, *cycles) -> Permutation:
@@ -67,7 +70,7 @@ def cyclic(n: int):
     if n < 1:
         raise SpecSemanticError("cyclic group needs n >= 1")
     check_size(n, n, 1)
-    return n, [_cycle_perm(n, range(n))]
+    return n, [_cycle_perm(n, range(n))], n
 
 
 def dihedral(n: int):
@@ -77,7 +80,7 @@ def dihedral(n: int):
     check_size(n, m, 2)
     rot = _cycle_perm(m, range(m))
     refl = Permutation(-np.arange(m) % m)
-    return m, [rot, refl]
+    return m, [rot, refl], n
 
 
 def frobenius(p: int, k: int):
@@ -90,15 +93,16 @@ def frobenius(p: int, k: int):
     # (Z/p)* is cyclic, so its elements of order k are theta^j, gcd(j, k) = 1
     theta = element_of_order(k, p)
     a = min(pow(theta, j, p) for j in units(k))
-    return p, [_cycle_perm(p, range(p)), Permutation(a * np.arange(p) % p)]
+    return p, [_cycle_perm(p, range(p)), Permutation(a * np.arange(p) % p)], p * k
 
 
 def from_cycles(*generators):
-    """A "<...>" spec's generators, checked first on 2 elements if one moves a point."""
+    """A "<...>" spec's generators, checked first on 2 elements if one moves a
+    point; its order is unknown."""
     degree = max((p for gen in generators for cyc in gen for p in cyc), default=1)
     check_size(2 if any(generators) else 1, degree, len(generators))
     return degree, [_cycle_perm(degree, *(np.subtract(cyc, 1) for cyc in gen))
-                    for gen in generators]
+                    for gen in generators], None
 
 
 def symmetric(n: int):
@@ -107,19 +111,20 @@ def symmetric(n: int):
     gens = [_cycle_perm(n, (0, 1))]
     if n > 2:
         gens.append(_cycle_perm(n, range(n)))
-    return n, gens
+    return n, gens, math.factorial(n)
 
 
 def alternating(n: int):
     if not 2 <= n <= 9:
         raise SpecSemanticError("A n is supported for 2 <= n <= 9")
+    order = math.factorial(n) // 2
     if n == 2:
-        return 2, []
+        return 2, [], order
     if n == 3:
-        return 3, [_cycle_perm(3, (0, 1, 2))]
+        return 3, [_cycle_perm(3, (0, 1, 2))], order
     # an n-cycle is even for odd n; for even n the (n-1)-cycle fixing 0 is
     long = _cycle_perm(n, range(1 - n % 2, n))
-    return n, [long, _cycle_perm(n, (0, 1, 2))]
+    return n, [long, _cycle_perm(n, (0, 1, 2))], order
 
 
 def _field_of_order(q: int):
@@ -186,7 +191,8 @@ def psl2(q: int):
         raise SpecSemanticError("PSL(2,q) is supported for 4 <= q <= 32")
     F = _field_of_order(q)
     line = np.array([(x, 1) for x in range(q)] + [(1, 0)])
-    return _point_action(F, _sl2_generators(F), _projective(F, line), projective=True)
+    degree, gens = _point_action(F, _sl2_generators(F), _projective(F, line), projective=True)
+    return degree, gens, q * (q * q - 1) // math.gcd(2, q - 1)
 
 
 def sl2(q: int):
@@ -196,7 +202,8 @@ def sl2(q: int):
         raise SpecSemanticError("SL(2,q) is supported for 4 <= q <= 32")
     F = _field_of_order(q)
     points = np.stack(np.divmod(np.arange(1, q * q), q), axis=1)
-    return _point_action(F, _sl2_generators(F), points)
+    degree, gens = _point_action(F, _sl2_generators(F), points)
+    return degree, gens, q * (q * q - 1)
 
 
 # -- the Suzuki group -------------------------------------------------------
@@ -264,26 +271,30 @@ def sz(q: int):
     if len(points) != q * q + 1:
         raise ArithmeticError(
             f"Suzuki ovoid orbit has {len(points)} points, expected {q * q + 1}")
-    return _point_action(F, gens, np.array(points), projective=True)
+    degree, perms = _point_action(F, gens, np.array(points), projective=True)
+    return degree, perms, q * q * (q * q + 1) * (q - 1)
 
 
 def _product_generators(factors):
-    degree = sum(d for d, _ in factors)
+    """The direct product's degree, generators and order, the product of its
+    factors' orders, unknown if one of them is."""
+    degree = sum(d for d, _, _ in factors)
     # a factor with a non-identity generator has at least 2 elements, so the
     # product has at least 2^moving: refuse it before a generator is built.
     # 2^bit_length(DEFAULT_CAP) already passes the cap, so the bound stops there
-    moving = sum(any((g.images != np.arange(d)).any() for g in gens) for d, gens in factors)
+    moving = sum(any((g.images != np.arange(d)).any() for g in gens) for d, gens, _ in factors)
     check_size(2 ** min(moving, DEFAULT_CAP.bit_length()), degree,
-               sum(len(gens) for _, gens in factors))
+               sum(len(gens) for _, gens, _ in factors))
     gens = []
     offset = 0
-    for d, factor_gens in factors:
+    for d, factor_gens, _ in factors:
         for gen in factor_gens:
             images = np.arange(degree, dtype=np.int32)
             images[offset:offset + d] = gen.images + offset
             gens.append(Permutation(images))
         offset += d
-    return degree, gens
+    orders = [order for _, _, order in factors]
+    return degree, gens, None if None in orders else math.prod(orders)
 
 
 # -- group specs and the parser ---------------------------------------------
@@ -441,7 +452,8 @@ def _generators(spec: GroupSpec):
 
 @functools.lru_cache(maxsize=None)
 def _build_cached(spec: GroupSpec) -> PermGroup:
-    return enumerate_group(*_generators(spec))
+    degree, generators, order = _generators(spec)
+    return enumerate_group(degree, generators, order=order)
 
 
 def build(spec) -> PermGroup:

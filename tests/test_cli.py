@@ -77,11 +77,15 @@ def cycle_notation(perm):
     return "".join(cycles) or "()"
 
 
-@pytest.mark.parametrize("spec", [c.spec for c in (*THEOREM_A_F2, *THEOREM_A_F3, *EXCLUSIONS)])
+# the corpus (Sz(8) among it), and A9 and SL(2,25), whose stabilizer chains
+# the family spec stops at their known order
+@pytest.mark.parametrize("spec", [c.spec for c in (*THEOREM_A_F2, *THEOREM_A_F3, *EXCLUSIONS)]
+                         + ["A9", "SL(2,25)"])
 def test_cycle_spec_of_a_corpus_group_gives_its_table(capsys, spec):
     # oracle: the family's own generators, written in cycle notation, give
     # the same element ids, so the same degree and the same table byte for
-    # byte, apart from the group's name
+    # byte, apart from the group's name.  The cycle spec has no known order,
+    # so its chain comes from the full Schreier-Sims run
     group = build(spec)
     cycles = "<" + ",".join(map(cycle_notation, group.generators)) + ">"
     assert str(parse_spec(cycles)) == cycles

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from charfield import perm
+from charfield import perm, zoo
+from charfield.arith import factorize, is_prime
 from charfield.chartab import class_multiplication_coefficients
 from charfield.perm import (
     GroupTooLargeError,
@@ -21,7 +22,7 @@ from charfield.perm import (
     schreier_sims,
 )
 from charfield.verify import EXCLUSIONS, THEOREM_A_F2, THEOREM_A_F3
-from charfield.zoo import build, sl2
+from charfield.zoo import build, parse_spec, sl2
 from test_base_keys import all_rows, inverse_ids, two_level_group
 from test_pipeline_random import random_groups
 
@@ -111,16 +112,33 @@ def test_integer_arrays_are_checked_as_a_whole(images, message):
 
 
 def test_schreier_sims_frees_its_levels():
-    # no level holds the orbit check, and no closure refers to itself, so
-    # the levels and their rows go when schreier_sims returns, not at the
-    # next cyclic collection
+    # no level holds the order bound, and no closure refers to itself, so
+    # the levels and their rows go when schreier_sims returns, whether it
+    # ran to the end or stopped at the known order, not at the next cyclic
+    # collection
     gc.collect()
     gc.disable()
     try:
-        assert schreier_sims(5, A5.generators).order == 60
-        assert not any(isinstance(o, perm._Level) for o in gc.get_objects())
+        for order in (None, 60):
+            assert schreier_sims(5, A5.generators, order).order == 60
+            assert not any(isinstance(o, perm._Level) for o in gc.get_objects())
     finally:
         gc.enable()
+
+
+def test_the_group_keeps_the_chains_position_rows(monkeypatch):
+    # enumerate_group drops the forward transversals from the chain without
+    # building its degree-long position rows again
+    sims, chains = perm.schreier_sims, []
+
+    def kept(*args):
+        chains.append(sims(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(perm, "schreier_sims", kept)
+    g = enumerate_group(5, A5.generators, order=60)
+    assert g.chain.transversals == () and len(g.chain.positions) == len(g.base) == 3
+    assert all(a is b for a, b in zip(g.chain.positions, chains[0].positions))
 
 
 def test_cap_enforced(monkeypatch):
@@ -490,7 +508,8 @@ def test_chain_missing_a_strong_generator_is_rejected(spec, monkeypatch):
 ])
 def test_chain_with_a_wrong_orbit_is_rejected(change, message, monkeypatch):
     # a missing point puts some base image outside the orbit; an extra one
-    # makes the order larger than the closure
+    # makes the order larger than the closure.  The chain keeps the position
+    # rows it is given, so the wrong orbit comes with its own
     g = build("A5")
     sims = perm.schreier_sims
 
@@ -502,12 +521,59 @@ def test_chain_with_a_wrong_orbit_is_rejected(change, message, monkeypatch):
         else:
             outside = min(set(range(g.degree)) - set(orbit.tolist()))
             orbit, u = np.append(orbit, outside), np.vstack([u, u[:1]])
+        position = np.full(g.degree, -1, dtype=np.int32)
+        position[orbit] = np.arange(len(orbit))
         return dataclasses.replace(chain, orbits=(*chain.orbits[:-1], orbit),
-                                   transversals=(*chain.transversals[:-1], u))
+                                   transversals=(*chain.transversals[:-1], u),
+                                   positions=(*chain.positions[:-1], position))
 
     monkeypatch.setattr(perm, "schreier_sims", wrong_orbit)
     with pytest.raises(ArithmeticError, match=message):
         enumerate_group(g.degree, g.generators)
+
+
+def chain_arrays(chain):
+    """The chain's base and each of its arrays as dtype, shape and bytes."""
+    return chain.base, {name: [(a.dtype, a.shape, a.tobytes()) for a in getattr(chain, name)]
+                        for name in ("orbits", "transversals", "inv_transversals", "positions")}
+
+
+# every family member inside the limits, the products of the corpus and the
+# recorded table digests, and a few more
+KNOWN_ORDER_GROUPS = {
+    "C": [f"C{n}" for n in range(1, 65)],
+    "D": [f"D{n}" for n in range(6, 129, 2)],
+    "A": [f"A{n}" for n in range(2, 10)],
+    "S": [f"S{n}" for n in range(2, 10)],
+    "PSL": [f"PSL(2,{q})" for q in range(4, 33) if len(factorize(q)) == 1],
+    "SL": [f"SL(2,{q})" for q in range(4, 33) if len(factorize(q)) == 1],
+    "Frob": [f"Frob({p},{k})" for p in range(3, 200) if is_prime(p)
+             for k in range(2, p) if (p - 1) % k == 0],
+    "Sz and products": ["Sz(8)", "S9xC2", "A9xC3", "D16xC4", "C8xC8", "S4xC2", "S3xC4",
+                        "C7xC7", "C2xC2", "C3xC3"],
+}
+
+
+@pytest.mark.parametrize("family", KNOWN_ORDER_GROUPS)
+def test_chain_stopped_at_the_known_order_is_the_full_chain(family):
+    # oracle: the full run, which sifts every Schreier generator; a formula
+    # that understated the order could stop the run on a short chain
+    for spec in KNOWN_ORDER_GROUPS[family]:
+        degree, gens, order = zoo._generators(parse_spec(spec))
+        full = schreier_sims(degree, gens)
+        assert full.order == order, spec
+        assert chain_arrays(schreier_sims(degree, gens, order)) == chain_arrays(full), spec
+
+
+def test_an_overstated_order_is_refused():
+    # no product of A5's orbit lengths is 61, so the run goes to the end and
+    # finds 60; the true order gives the full run's chain
+    with pytest.raises(ArithmeticError, match="the chain's order is 60, not the given 61"):
+        schreier_sims(5, A5.generators, 61)
+    with pytest.raises(ArithmeticError, match="not the given 61"):
+        enumerate_group(5, A5.generators, order=61)
+    full = schreier_sims(5, A5.generators)
+    assert chain_arrays(schreier_sims(5, A5.generators, 60)) == chain_arrays(full)
 
 
 def test_chain_stops_at_the_cap(monkeypatch):
@@ -521,7 +587,8 @@ def test_chain_stops_at_the_cap(monkeypatch):
 
 def test_tree_edges_are_not_sifted(monkeypatch):
     # SL(2,32) has 6,298 Schreier generators, 1,053 of them tree edges, which
-    # are the identity; skipping them leaves the element table unchanged
+    # are the identity; skipping them leaves the element table unchanged.
+    # The full run is counted: its order is not passed
     generators, sifted, levels = perm._Level.schreier_generators, [], set()
 
     def counted(level):
@@ -531,7 +598,8 @@ def test_tree_edges_are_not_sifted(monkeypatch):
             yield y
 
     monkeypatch.setattr(perm._Level, "schreier_generators", counted)
-    g = enumerate_group(*sl2(32))  # not build: its cache would skip the count
+    degree, gens, order = sl2(32)
+    g = enumerate_group(degree, gens)  # not build: its cache would skip the count
     assert len(sifted) == 6298 - 1053
     assert hashlib.sha256(all_rows(g).tobytes()).hexdigest() == (
         "76961ccd815a5e206c77178120666f1fb08263eac97752d5b0381b0b68b6b64c")
@@ -544,6 +612,11 @@ def test_tree_edges_are_not_sifted(monkeypatch):
             assert np.array_equal(s[level.fwd[c]], level.fwd[level.position[s[level.orbit[c]]]])
             skipped += 1
     assert skipped == 1053
+    # build's path passes the order and stops once the chain reaches it;
+    # __wrapped__ skips the cache
+    sifted.clear()
+    assert zoo._build_cached.__wrapped__(parse_spec("SL(2,32)")).order == order
+    assert 0 < len(sifted) <= (6298 - 1053) // 10
 
 
 def test_cap_stops_an_orbit_before_its_rows_are_stored(monkeypatch):

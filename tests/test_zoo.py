@@ -70,8 +70,9 @@ def test_frobenius_multiplier_is_the_least_of_order_k():
              for k in range(2, p) if (p - 1) % k == 0]
     assert len(pairs) == 611
     for p, k in pairs:
-        degree, (trans, mult) = frobenius(p, k)
-        assert degree == p and trans.images.tolist() == [(x + 1) % p for x in range(p)]
+        degree, (trans, mult), size = frobenius(p, k)
+        assert degree == p and size == p * k
+        assert trans.images.tolist() == [(x + 1) % p for x in range(p)]
         a = next(a for a in range(2, p) if order(a, p) == k)
         assert mult.images.tolist() == [a * x % p for x in range(p)], (p, k)
 
@@ -143,6 +144,14 @@ def test_closed_form_orders_via_build():
                         ("F52", 52), ("A5", 60), ("S4", 24), ("PSL(2,8)", 504),
                         ("SL(2,5)", 120), ("C2xC2", 4), ("C2xC3", 6)):
         assert build(text).order == order, text
+
+
+def test_only_family_specs_know_their_order():
+    # a cycle spec, or a product with one among its factors, runs the full
+    # Schreier-Sims; a product of families knows its order
+    for text in ("<(1,2,3)>", "<()>", "C2x<(1,2)>", "<(1,2)>xS3"):
+        assert zoo._generators(parse_spec(text))[2] is None, text
+    assert zoo._generators(parse_spec("C2xA4xSz(8)"))[2] == 2 * 12 * 29120
 
 
 def test_parse_canonical_roundtrip():
@@ -358,7 +367,8 @@ GENERATOR_DIGESTS = {
 }
 
 
-def _generator_digest(degree, perms):
+def _generator_digest(degree, perms, _order):
+    # the family's order is not part of the recorded text
     text = json.dumps([degree, [g.images.tolist() for g in perms]], separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
